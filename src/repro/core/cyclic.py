@@ -23,7 +23,7 @@ from pyspark.sql import functions as F
 
 from .join_spec import Join, Relation
 from .weights import exact_size, weighted_join
-from .walker import run_walks
+from .walker import WalkRequest, run_walks
 
 
 @dataclass
@@ -80,7 +80,8 @@ def sample_cyclic(
     got = 0
     while got < n:
         batch = max(int((n - got) * 2.0) + 8, 16)
-        res = run_walks(spark, wskel, batch, mode="ew", seed=int(rng.integers(2**31)), total_weight=total)
+        request = WalkRequest(wskel, batch, "ew", total)
+        (res,) = run_walks(spark, [request], seed=int(rng.integers(2**31))).results
         pdf = res.pdf.drop(columns=["__p"])
         pdf["__walk"] = np.arange(len(pdf))
         cand = spark.createDataFrame(pdf).join(

@@ -20,10 +20,11 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from .join_spec import Join
-from .olken import olken_bound, reduce_join
-from .stats import max_degree
-from .walker import DPROD, P, WalkResult, run_walks
-from .weights import exact_size, weighted_join
+from .olken import reduce_join
+from .walker import DPROD, WalkBatch, WalkRequest, run_walks
+from .weights import weighted_join
+
+JOIN = "__join"  # name of the join a sample_join row was drawn from
 
 
 @dataclass
@@ -33,6 +34,7 @@ class SampleStats:
     n_walks: int = 0
     n_accepted: int = 0
     n_rejected_weight: int = 0  # EO weight-bound rejections
+    walks_by_join: dict[str, int] = field(default_factory=dict)
 
 
 class JoinContext:
@@ -99,18 +101,21 @@ class JoinContext:
 
 
 def wander_walks(
-    ctx: JoinContext, n: int, seed: int, *, hash_specs=None
-) -> WalkResult:
-    """Uniform random walks with tracked p(t); the plan's full reduction
-    means walks never dead-end (the paper's zero-weight fix)."""
+    ctxs: list[JoinContext], n: int, seed: int, *, hash_specs=None
+) -> WalkBatch:
+    """``n`` uniform random walks with tracked p(t) over each join, all in
+    one Spark job; the plan's full reduction means walks never dead-end
+    (the paper's zero-weight fix)."""
     return run_walks(
-        ctx.spark, ctx.join, n, mode="uniform", seed=seed, hash_specs=hash_specs
+        ctxs[0].spark,
+        [WalkRequest(c.join, n, "uniform") for c in ctxs],
+        seed=seed,
+        hash_specs=hash_specs,
     )
 
 
 def sample_join(
-    ctx: JoinContext,
-    n: int,
+    counts: dict[JoinContext, int],
     *,
     method: str = "ew",
     seed: int = 0,
@@ -118,56 +123,77 @@ def sample_join(
     hash_specs=None,
     predicate=None,
 ) -> pd.DataFrame:
-    """Return exactly ``n`` i.i.d. uniform tuples (value columns) from the
-    join, using the EW or EO instantiation.
+    """Return exactly ``counts[ctx]`` i.i.d. uniform tuples from each
+    join, using the EW or EO instantiation. Each over-draw iteration is
+    one Spark walk job for every join still short.
+
+    The result holds the value columns, ``__join`` (the join's name) and
+    any ``__h*`` hash columns, joins in the order of ``counts``. Sampling
+    a join with no results raises ``ValueError``.
 
     ``predicate`` (pandas DataFrame → boolean mask) enforces a selection
     during sampling — §8.3's second alternative: an extra rejection factor,
     appropriate for predicates that are not very selective. The result is
     uniform over σ_predicate(J). (The first alternative — push-down — is
     what the workloads do: filter the base relations up front.)"""
-    rng = np.random.default_rng(seed)
-    out: list[pd.DataFrame] = []
-    got = 0
-    value_cols = ctx.join.value_cols
-    # EO over-draw factor from the analytic acceptance rate |J| / bound.
-    if method == "eo":
-        acc = max(ctx.size_exact / max(ctx.size_olken, 1), 1e-3)
-    elif method == "ew":
-        acc = 1.0
-    else:
+    if method not in ("ew", "eo"):
         raise ValueError(method)
-    while got < n:
-        batch = int(np.ceil((n - got) / acc * 1.2)) + 8
-        batch = min(batch, 200_000)
-        res = run_walks(
-            ctx.spark,
-            ctx.join,  # one shared walk plan serves EW and uniform modes
-            batch,
-            mode="ew" if method == "ew" else "uniform",
+    need = {c: n for c, n in counts.items() if n > 0}
+    for c in need:
+        if c.plan["total_weight"] <= 0:
+            raise ValueError(f"join {c.name} has no results to sample")
+    rng = np.random.default_rng(seed)
+    out: dict[JoinContext, list[pd.DataFrame]] = {c: [] for c in need}
+    got = dict.fromkeys(need, 0)
+    # EO over-draw factor from the analytic acceptance rate |J| / bound.
+    acc = {
+        c: max(c.size_exact / max(c.size_olken, 1), 1e-3) if method == "eo" else 1.0
+        for c in need
+    }
+    while short := [c for c in need if got[c] < need[c]]:
+        requests = [
+            WalkRequest(
+                c.join,  # one shared walk plan serves EW and uniform modes
+                min(int(np.ceil((need[c] - got[c]) / acc[c] * 1.2)) + 8, 200_000),
+                "ew" if method == "ew" else "uniform",
+                float(c.size_exact) if method == "ew" else None,
+            )
+            for c in short
+        ]
+        batch = run_walks(
+            short[0].spark,
+            requests,
             seed=int(rng.integers(2**31)),
-            total_weight=float(ctx.size_exact) if method == "ew" else None,
             hash_specs=hash_specs,
         )
-        if stats is not None:
-            stats.n_walks += batch
-        pdf = res.pdf
-        if method == "eo" and len(pdf):
-            p_acc = pdf[DPROD].to_numpy(dtype=float) / ctx.m_prod
-            keep = rng.random(len(pdf)) < p_acc
+        for c, res in zip(short, batch.results):
             if stats is not None:
-                stats.n_rejected_weight += int((~keep).sum()) + res.n_failed
-            pdf = pdf[keep]
-        if predicate is not None and len(pdf):
-            pdf = pdf[predicate(pdf)]
-        if len(pdf):
-            keep_cols = value_cols + [c for c in pdf.columns if c.startswith("__h")]
-            out.append(pdf[keep_cols])
-            got += len(pdf)
-    result = pd.concat(out, ignore_index=True).head(n)
+                stats.n_walks += res.n_walks
+                by_join = stats.walks_by_join
+                by_join[c.name] = by_join.get(c.name, 0) + res.n_walks
+            pdf = res.pdf
+            if method == "eo" and len(pdf):
+                p_acc = pdf[DPROD].to_numpy(dtype=float) / c.m_prod
+                keep = rng.random(len(pdf)) < p_acc
+                if stats is not None:
+                    stats.n_rejected_weight += int((~keep).sum()) + res.n_failed
+                pdf = pdf[keep]
+            if predicate is not None and len(pdf):
+                pdf = pdf[predicate(pdf)]
+            if len(pdf):
+                hashes = [x for x in pdf.columns if x.startswith("__h")]
+                out[c].append(pdf[c.join.value_cols + hashes])
+                got[c] += len(pdf)
+    frames = [
+        pd.concat(out[c], ignore_index=True).head(need[c]).assign(**{JOIN: c.name})
+        for c in need
+    ]
+    if not frames:
+        return pd.DataFrame(columns=[JOIN])
+    result = pd.concat(frames, ignore_index=True)
     if stats is not None:
         stats.n_accepted += len(result)
-    return result.reset_index(drop=True)
+    return result
 
 
 @dataclass

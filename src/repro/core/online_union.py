@@ -30,14 +30,14 @@ import numpy as np
 import pandas as pd
 
 from .histogram_union import WarmupEstimate, auto_histogram_warmup
-from .join_sampler import UnionContext, sample_join
+from .join_sampler import JOIN, UnionContext, sample_join
 from .randomwalk_union import (
     RWState,
     estimate_from_state,
     overlap_ci_halfwidth,
     randomwalk_warmup,
 )
-from .union_sampler import _alloc
+from .union_sampler import _alloc, _drop_empty
 from .walker import P
 
 
@@ -72,7 +72,7 @@ def online_union_sample(
 ) -> OnlineResult:
     rng = np.random.default_rng(seed)
     names = uctx.names
-    joins = uctx.joins
+    jidx_of = {j: i for i, j in enumerate(names)}
 
     t0 = time.perf_counter()
     hist_est = auto_histogram_warmup(uctx, size_method="eo")
@@ -97,8 +97,7 @@ def online_union_sample(
     }
     pool_member = {j: state.member[j].copy() for j in names}
 
-    probs = est.cover_probs()
-    outstanding = _alloc(rng, n, probs)
+    outstanding = _alloc(rng, n, _drop_empty(uctx, est.cover_probs()))
     kept_rows: list[pd.Series] = []
     kept_meta: list[dict] = []  # {join, ratio} for backtracking
     t_reuse = t_regular = 0.0
@@ -112,12 +111,10 @@ def online_union_sample(
         cp = e.cover_probs()
         return cp[j]
 
-    while sum(outstanding.values()) > 0 and rounds < max_rounds:
+    while outstanding and rounds < max_rounds:
         rounds += 1
-        for j, need in list(outstanding.items()):
-            if need <= 0:
-                continue
-            jidx = names.index(j)
+        for j, need in outstanding.items():
+            jidx = jidx_of[j]
             pool = pools[j]
             # ---- reuse phase -------------------------------------------
             if len(pool):
@@ -153,30 +150,32 @@ def online_union_sample(
                 pool_member[j] = pool_member[j][mask]
                 t_reuse += time.perf_counter() - t0
                 c_reuse += taken
-                need -= taken
-                outstanding[j] = need
-            if need <= 0:
-                continue
-            # ---- regular phase (§3.2 sampler + cover retry) -------------
+                outstanding[j] = need - taken
+        outstanding = {j: v for j, v in outstanding.items() if v > 0}
+        # ---- regular phase (§3.2 sampler + cover retry), all joins at once
+        if outstanding:
             t0 = time.perf_counter()
-            draw = int(np.ceil(need * 1.5)) + 4
+            draws = {
+                uctx.ctx(j): int(np.ceil(need * 1.5)) + 4 for j, need in outstanding.items()
+            }
             batch = sample_join(
-                uctx.ctx(j),
-                draw,
+                draws,
                 method=sampler,
                 seed=int(rng.integers(2**31)),
                 hash_specs=uctx.membership.col_sets,
             )
             f = uctx.membership.min_index(batch)
-            ok = batch[f == jidx]
-            take = min(len(ok), need)
+            in_cover = f == batch[JOIN].map(jidx_of).to_numpy()
             records_since_bt += len(batch)
-            for _, row in ok.head(take).iterrows():
-                kept_rows.append(row[uctx.value_cols])
-                kept_meta.append({"join": j, "ratio": ratio(j, est)})
+            for j, need in outstanding.items():
+                ok = batch[(batch[JOIN] == j).to_numpy() & in_cover]
+                take = min(len(ok), need)
+                for _, row in ok.head(take).iterrows():
+                    kept_rows.append(row[uctx.value_cols])
+                    kept_meta.append({"join": j, "ratio": ratio(j, est)})
+                c_regular += take
+                outstanding[j] = need - take
             t_regular += time.perf_counter() - t0
-            c_regular += take
-            outstanding[j] = need - take
         outstanding = {j: v for j, v in outstanding.items() if v > 0}
 
         # ---- backtracking with parameter update (every φ records) -------
@@ -199,10 +198,10 @@ def online_union_sample(
             # redistribute the rejected slots
             miss = n - len(kept_rows) - sum(outstanding.values())
             if miss > 0:
-                for jj, c in _alloc(rng, miss, new_est.cover_probs()).items():
+                probs = _drop_empty(uctx, new_est.cover_probs())
+                for jj, c in _alloc(rng, miss, probs).items():
                     outstanding[jj] = outstanding.get(jj, 0) + c
             est = new_est
-            probs = est.cover_probs()
             confident = _confidence_reached(uctx, state, est, gamma)
 
     samples = (

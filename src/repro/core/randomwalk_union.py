@@ -12,7 +12,8 @@ exactly 1/p(t) copies of t") without materializing it. Membership of pool
 tuples in other joins is probed with batched semijoins (§6.2's key
 queries). Sampling stops per join when the CI half-width of every overlap
 ratio is below the target or the pool reaches ``max_samples`` (the paper
-stops at 90% confidence or 1,000 samples).
+stops at 90% confidence or 1,000 samples). The joins not yet stopped walk
+round-robin, one Spark job per round for all of them.
 
 The pools and probabilities are returned so ONLINE-UNION (§7) can reuse
 them during the main sampling phase.
@@ -105,22 +106,43 @@ def randomwalk_warmup(
     estimate and the reusable sample pools."""
     rng = np.random.default_rng(seed)
     names = uctx.names
-    joins = uctx.joins
     state = state or RWState()
     for name in names:
         if name not in state.pools:
             state.pools[name] = pd.DataFrame()
             state.n_failed[name] = 0
             state.member[name] = np.zeros((0, len(names)), dtype=bool)
-    for name in names:
-        ctx = uctx.ctx(name)
-        while len(state.pools[name]) + state.n_failed[name] < max_samples:
-            res = wander_walks(
-                ctx,
-                batch,
-                seed=int(rng.integers(2**31)),
-                hash_specs=uctx.membership.col_sets,
-            )
+
+    def more(name: str) -> bool:
+        return len(state.pools[name]) + state.n_failed[name] < max_samples
+
+    def converged(name: str) -> bool:
+        """Every overlap anchored at ``name`` is within the CI target."""
+        est = state.ht_size(name)
+        if est <= 0:
+            return False
+        anchored = [
+            frozenset(d)
+            for k in range(2, len(names) + 1)
+            for d in combinations(names, k)
+            if min(d, key=names.index) == name
+        ]
+        hw = max(
+            (overlap_ci_halfwidth(state, names, d, z=z) for d in anchored),
+            default=0.0,
+        )
+        return hw <= rel_halfwidth * est
+
+    # Round-robin: each round walks every join not yet stopped, in one job.
+    active = [name for name in names if more(name)]
+    while active:
+        walks = wander_walks(
+            [uctx.ctx(name) for name in active],
+            batch,
+            seed=int(rng.integers(2**31)),
+            hash_specs=uctx.membership.col_sets,
+        )
+        for name, res in zip(active, walks.results):
             state.n_failed[name] += res.n_failed
             if len(res.pdf):
                 mem = uctx.membership.matrix(res.pdf)
@@ -128,20 +150,7 @@ def randomwalk_warmup(
                 state.pools[name] = pd.concat(
                     [state.pools[name], res.pdf], ignore_index=True
                 )
-            est = state.ht_size(name)
-            anchored = [
-                frozenset(d)
-                for k in range(2, len(names) + 1)
-                for d in combinations(names, k)
-                if min(d, key=names.index) == name
-            ]
-            if est > 0:
-                hw = max(
-                    (overlap_ci_halfwidth(state, names, d, z=z) for d in anchored),
-                    default=0.0,
-                )
-                if hw <= rel_halfwidth * est:
-                    break
+        active = [name for name in active if more(name) and not converged(name)]
     return estimate_from_state(uctx, state), state
 
 

@@ -38,7 +38,7 @@ import pandas as pd
 
 from .exact import full_join_union
 from .histogram_union import WarmupEstimate, auto_histogram_warmup, build_estimate
-from .join_sampler import SampleStats, UnionContext, sample_join
+from .join_sampler import JOIN, SampleStats, UnionContext, sample_join
 from .randomwalk_union import randomwalk_warmup
 
 
@@ -51,6 +51,7 @@ class UnionSampleResult:
     timings: dict = field(default_factory=dict)
     per_join_accepted: dict = field(default_factory=dict)
     stats: SampleStats | None = None
+    rounds: int = 0  # sampling rounds, each one sample_join call for all joins
 
 
 def warmup_params(
@@ -84,6 +85,24 @@ def _alloc(rng: np.random.Generator, n: int, probs: dict[str, float]) -> dict[st
     p = p / p.sum()
     counts = rng.multinomial(n, p)
     return {x: int(c) for x, c in zip(names, counts) if c > 0}
+
+
+def _drop_empty(uctx: UnionContext, probs: dict[str, float]) -> dict[str, float]:
+    """Zero the selection probability of joins with no results: their
+    cover is empty whatever the estimate says, and sampling them fails."""
+    return {j: p if uctx.ctx(j).size_exact > 0 else 0.0 for j, p in probs.items()}
+
+
+def _walk_time_shares(
+    stats: SampleStats, walks_before: dict[str, int], dt: float
+) -> dict[str, float]:
+    """Split ``dt`` seconds of one round's sampling across its joins in
+    proportion to the walks each drew since ``walks_before``."""
+    walked = {
+        j: w - walks_before.get(j, 0) for j, w in stats.walks_by_join.items()
+    }
+    total = sum(walked.values())
+    return {j: dt * w / total for j, w in walked.items() if w} if total else {}
 
 
 def set_union_sample(
@@ -121,7 +140,7 @@ def _oracle_sample(
     max_rounds: int,
 ) -> UnionSampleResult:
     names = uctx.names
-    joins = uctx.joins
+    jidx_of = {j: i for i, j in enumerate(names)}
     stats = SampleStats()
     if variant == "cover-retry":
         probs = est.cover_probs()
@@ -132,6 +151,7 @@ def _oracle_sample(
         probs = est.cover_probs()
     else:
         raise ValueError(variant)
+    probs = _drop_empty(uctx, probs)
 
     # Expected accept rate per join (cover mass / join size), to size draws.
     rate = {
@@ -145,42 +165,45 @@ def _oracle_sample(
     n_drawn = n_rej = 0
     t_acc = t_rej = 0.0
     rounds = 0
-    while sum(outstanding.values()) > 0 and rounds < max_rounds:
+    while outstanding and rounds < max_rounds:
         rounds += 1
-        reselect = {}
-        for j, need in list(outstanding.items()):
-            if need <= 0:
-                continue
-            t0 = time.perf_counter()
+        draws = {}
+        for j, need in outstanding.items():
             if variant == "cover-retry":
                 # over-draw: each slot retries within this join until accept
                 draw = int(np.ceil(need / max(rate[j], 0.02) * 1.3)) + 4
             else:
                 # bernoulli / literal: one draw per slot, re-select on reject
                 draw = need
-            batch = sample_join(
-                uctx.ctx(j),
-                min(draw, 50_000),
-                method=sampler,
-                seed=int(rng.integers(2**31)),
-                stats=stats,
-                hash_specs=uctx.membership.col_sets,
-            )
-            jidx = names.index(j)
-            f = uctx.membership.min_index(batch)
-            ok = batch[f == jidx]
-            n_drawn += len(batch)
-            n_rej += int((f != jidx).sum())
+            draws[uctx.ctx(j)] = min(draw, 50_000)
+        walks_before = dict(stats.walks_by_join)
+        t0 = time.perf_counter()
+        batch = sample_join(
+            draws,
+            method=sampler,
+            seed=int(rng.integers(2**31)),
+            stats=stats,
+            hash_specs=uctx.membership.col_sets,
+        )
+        f = uctx.membership.min_index(batch)
+        in_cover = f == batch[JOIN].map(jidx_of).to_numpy()
+        shares = _walk_time_shares(stats, walks_before, time.perf_counter() - t0)
+        reselect = {}
+        for j, need in outstanding.items():
+            mine = (batch[JOIN] == j).to_numpy()
+            ok = batch[mine & in_cover]
+            n_j = int(mine.sum())
+            n_drawn += n_j
+            n_rej += n_j - len(ok)
             take = min(len(ok), need)
             if take:
                 accepted.append(ok.head(take))
                 per_join[j] += take
-            dt = time.perf_counter() - t0
-            if len(batch):
-                t_acc += dt * take / len(batch)
-                t_rej += dt * (len(batch) - take) / len(batch)
+            if n_j:
+                t_acc += shares.get(j, 0.0) * take / n_j
+                t_rej += shares.get(j, 0.0) * (n_j - take) / n_j
             # Adapt the empirical accept rate for the next round.
-            rate[j] = max(0.02, 0.5 * rate[j] + 0.5 * max(len(ok), 1) / max(len(batch), 1))
+            rate[j] = max(0.02, 0.5 * rate[j] + 0.5 * max(len(ok), 1) / max(n_j, 1))
             if variant == "cover-retry":
                 outstanding[j] = need - take  # retry within the same join
             else:  # bernoulli / literal: rejected slots re-select a join
@@ -205,6 +228,7 @@ def _oracle_sample(
         timings={"accepted": t_acc, "rejected": t_rej},
         per_join_accepted=per_join,
         stats=stats,
+        rounds=rounds,
     )
 
 
@@ -218,7 +242,7 @@ def _lazy_sample(
 ) -> UnionSampleResult:
     """Algorithm 1 verbatim: orig_join bookkeeping + revision, no oracle."""
     names = uctx.names
-    probs = est.cover_probs()
+    probs = _drop_empty(uctx, est.cover_probs())
     stats = SampleStats()
     orig: dict[tuple, int] = {}
     kept: list[tuple[int, tuple, pd.Series]] = []  # (join idx, value key, row)
@@ -227,16 +251,23 @@ def _lazy_sample(
     rounds = 0
     while len(kept) < n and rounds < max_rounds:
         rounds += 1
-        need = n - len(kept)
-        for j, c in _alloc(rng, need, probs).items():
+        alloc = _alloc(rng, n - len(kept), probs)
+        walks_before = dict(stats.walks_by_join)
+        t0 = time.perf_counter()
+        batch = sample_join(
+            {uctx.ctx(j): c for j, c in alloc.items()},
+            method=sampler,
+            seed=int(rng.integers(2**31)),
+            stats=stats,
+        )
+        shares = _walk_time_shares(stats, walks_before, time.perf_counter() - t0)
+        n_drawn += len(batch)
+        for j in alloc:
             t0 = time.perf_counter()
-            batch = sample_join(
-                uctx.ctx(j), c, method=sampler, seed=int(rng.integers(2**31)), stats=stats
-            )
-            n_drawn += len(batch)
+            rows = batch[batch[JOIN] == j]
             jidx = names.index(j)
             acc_cnt = 0
-            for _, row in batch.iterrows():
+            for _, row in rows.iterrows():
                 key = tuple(row[uctx.value_cols])
                 i = orig.get(key)
                 if i is not None and i < jidx:
@@ -248,13 +279,13 @@ def _lazy_sample(
                 orig[key] = jidx
                 kept.append((jidx, key, row))
                 acc_cnt += 1
-            dt = time.perf_counter() - t0
-            if len(batch):
-                t_acc += dt * acc_cnt / len(batch)
-                t_rej += dt * (len(batch) - acc_cnt) / len(batch)
+            dt = shares.get(j, 0.0) + time.perf_counter() - t0
+            if len(rows):
+                t_acc += dt * acc_cnt / len(rows)
+                t_rej += dt * (len(rows) - acc_cnt) / len(rows)
     kept = kept[:n]
     samples = (
-        pd.DataFrame([r for _, _, r in kept]).reset_index(drop=True)
+        pd.DataFrame([r for _, _, r in kept])[uctx.value_cols].reset_index(drop=True)
         if kept
         else pd.DataFrame(columns=uctx.value_cols)
     )
@@ -267,6 +298,7 @@ def _lazy_sample(
         timings={"accepted": t_acc, "rejected": t_rej},
         per_join_accepted=per_join,
         stats=stats,
+        rounds=rounds,
     )
 
 
@@ -283,9 +315,10 @@ def disjoint_union_sample(
     rng = np.random.default_rng(seed)
     sizes = sizes or {j: float(uctx.ctx(j).size_exact) for j in uctx.names}
     total = sum(sizes.values())
-    out = []
-    for j, c in _alloc(rng, n, {k: v / total for k, v in sizes.items()}).items():
-        out.append(
-            sample_join(uctx.ctx(j), c, method=sampler, seed=int(rng.integers(2**31)))
-        )
-    return pd.concat(out, ignore_index=True) if out else pd.DataFrame()
+    alloc = _alloc(rng, n, {k: v / total for k, v in sizes.items()})
+    batch = sample_join(
+        {uctx.ctx(j): c for j, c in alloc.items()},
+        method=sampler,
+        seed=int(rng.integers(2**31)),
+    )
+    return batch.drop(columns=[JOIN])

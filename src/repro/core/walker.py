@@ -1,11 +1,12 @@
 """Batched random walks over the join data graph (§6.1, wander join).
 
-A batch of walks is ONE Spark job: a DataFrame of walk seeds (start row +
-pre-drawn uniforms, one per step) is processed by a ``mapInPandas``
-sampling operator. Executors hold broadcast copies of the join's (reduced,
-EW-weighted) relations, pre-sorted by their join columns, and advance all
-walks of a partition simultaneously with vectorized ``searchsorted``
-lookups:
+One sampling round is ONE Spark job for all joins of a union: a DataFrame
+of walk seeds (request id, walk id, start row + pre-drawn uniforms, one
+per step), tagged with the join each walk belongs to, is processed by a
+``mapInPandas`` sampling operator. Executors hold broadcast copies of each
+join's (reduced, EW-weighted) relations, pre-sorted by their join columns,
+and advance all walks of one join in a seed batch simultaneously with
+vectorized ``searchsorted`` lookups:
 
 * ``ew``      — within the joinable range [lo, hi) of the child relation a
                 row is picked ∝ its Exact Weight via the cumulative-weight
@@ -17,8 +18,9 @@ lookups:
 
 Dead-ended walks are dropped from the batch and reported in ``n_failed``
 (they contribute 0 to HT estimates, as in the paper). Randomness is drawn
-on the driver and shipped with the seeds, so results are deterministic in
-``seed`` regardless of partitioning.
+on the driver and shipped with the seeds, and each join's output is put
+back in walk-id order, so results are deterministic in ``seed`` regardless
+of partitioning and Arrow batch size.
 
 This is the "custom sampling operator" realization: relations never pass
 through a shuffle and the join is never materialized — the only Spark
@@ -39,6 +41,9 @@ from .weights import W
 
 P = "__p"
 DPROD = "__dprod"
+REQ = "__req"  # index of the walk's request in its batch
+WALK = "__walk"  # walk id, unique within a batch
+START = "__start"
 
 
 @dataclass
@@ -143,106 +148,154 @@ def _spark_field(join: Join, col: str) -> T.StructField:
     raise KeyError(col)
 
 
+@dataclass
+class WalkRequest:
+    """``n_walks`` walks over ``join`` in ``mode`` (``"uniform"`` or
+    ``"ew"``). EW walks record p(t) = 1/``total_weight`` (default: the
+    plan's total weight, i.e. the exact join size)."""
+
+    join: Join
+    n_walks: int
+    mode: str = "uniform"
+    total_weight: float | None = None
+
+
+@dataclass
+class WalkBatch:
+    """The results of one walk job, one per request, in request order."""
+
+    results: list[WalkResult]
+
+    @property
+    def n_walks(self) -> int:
+        return sum(r.n_walks for r in self.results)
+
+    @property
+    def n_failed(self) -> int:
+        return sum(r.n_failed for r in self.results)
+
+
 def run_walks(
     spark: SparkSession,
-    join: Join,
-    n_walks: int,
+    requests: list[WalkRequest],
     *,
-    mode: str = "uniform",
     seed: int = 0,
-    total_weight: float | None = None,
     hash_specs: dict[tuple[str, ...], str] | None = None,
-) -> WalkResult:
-    """Run ``n_walks`` independent random walks over ``join`` in one job.
+) -> WalkBatch:
+    """Run every request's independent random walks in one Spark job.
 
+    All requested joins share one output schema (their value columns).
     ``hash_specs`` maps sorted column tuples to output aliases; matching
     ``xxhash64`` signature columns are appended in the same job so
-    membership probes need no extra Spark round trip.
+    membership probes need no extra Spark round trip. A request for an
+    empty join (or an EW request whose total weight is 0) walks nowhere:
+    all its walks fail. No job runs when no request has a walk to run.
     """
-    if mode not in ("uniform", "ew"):
-        raise ValueError(mode)
     rng = np.random.default_rng(seed)
-    plan = _walk_plan(spark, join)
-    n_steps = len(plan["steps"])
-    n_root = len(plan["root"])
-    if n_root == 0:
-        return WalkResult(pd.DataFrame(), n_walks, n_walks)
+    results = [WalkResult(pd.DataFrame(), r.n_walks, r.n_walks) for r in requests]
+    jobs: dict[int, tuple] = {}  # request id -> (plan broadcast, mode), for executors
+    ew_p: dict[int, float] = {}  # request id -> the p(t) its EW walks record
+    pieces = []
+    for k, req in enumerate(requests):
+        if req.mode not in ("uniform", "ew"):
+            raise ValueError(req.mode)
+        plan = _walk_plan(spark, req.join)
+        n_root = len(plan["root"])
+        if req.n_walks <= 0 or n_root == 0:
+            continue
+        # --- start selection + pre-drawn randomness (driver side) --------
+        if req.mode == "ew":
+            tw = plan["total_weight"]
+            if tw <= 0:
+                continue
+            starts = rng.choice(n_root, size=req.n_walks, p=plan["root_w"] / tw)
+            ew_p[k] = 1.0 / (req.total_weight if req.total_weight is not None else tw)
+        else:
+            starts = rng.integers(0, n_root, size=req.n_walks)
+        us = rng.random((req.n_walks, len(plan["steps"])))
+        u_cols = {f"__u{i}": us[:, i] for i in range(us.shape[1])}
+        pieces.append(pd.DataFrame({REQ: k, START: starts, **u_cols}))
+        jobs[k] = (plan["bc"], req.mode)
+    if not pieces:
+        return WalkBatch(results)
+    # a join with fewer steps than another leaves its last uniforms unused
+    seeds = pd.concat(pieces, ignore_index=True).fillna(0.0)
+    seeds.insert(1, WALK, np.arange(len(seeds), dtype=np.int64))
 
-    # --- start selection + pre-drawn randomness (driver side) -----------
-    if mode == "ew":
-        weights = plan["root_w"]
-        tw = float(weights.sum())
-        if tw <= 0:
-            return WalkResult(pd.DataFrame(), n_walks, n_walks)
-        total = total_weight if total_weight is not None else tw
-        starts = rng.choice(n_root, size=n_walks, p=weights / tw)
-    else:
-        total = None
-        starts = rng.integers(0, n_root, size=n_walks)
-    seeds = pd.DataFrame({"__start": starts.astype(np.int64)})
-    for i in range(n_steps):
-        seeds[f"__u{i}"] = rng.random(n_walks)
-
+    join = requests[next(iter(jobs))].join
     value_cols = join.value_cols
     out_fields = [_spark_field(join, c) for c in value_cols]
-    out_fields += [T.StructField(P, T.DoubleType()), T.StructField(DPROD, T.DoubleType())]
+    out_fields += [
+        T.StructField(REQ, T.LongType()),
+        T.StructField(WALK, T.LongType()),
+        T.StructField(P, T.DoubleType()),
+        T.StructField(DPROD, T.DoubleType()),
+    ]
     out_schema = T.StructType(out_fields)
 
-    bc = plan["bc"]
-    inv_root = 1.0 / n_root
-    walk_mode = mode
+    # Nested, so that it is pickled by value: Python workers need not be
+    # able to import this package.
+    def walk(data: dict, seeds: pd.DataFrame, mode: str) -> pd.DataFrame:
+        """Advance the walks of ``seeds`` through one join's broadcast plan;
+        return the completed ones (value columns, request/walk ids, p, Π d)."""
+        n_steps = len(data["steps"])
+        frontier = data["root"].iloc[seeds[START].to_numpy()].reset_index(drop=True)
+        ids = seeds[[REQ, WALK]].reset_index(drop=True)
+        p = np.full(len(frontier), 1.0 / len(data["root"]))
+        dprod = np.ones(len(frontier))
+        us = [seeds[f"__u{i}"].to_numpy() for i in range(n_steps)]
+        for i, step in enumerate(data["steps"]):
+            keyvals = frontier[step["pcol"]].to_numpy()
+            lo = np.searchsorted(step["keys"], keyvals, side="left")
+            hi = np.searchsorted(step["keys"], keyvals, side="right")
+            alive = hi > lo
+            if mode == "ew":
+                # a range whose weights are all zero is a dead end too
+                cw = step["cumw"]
+                alive &= cw[hi] > cw[lo]
+            if not alive.all():
+                frontier = frontier[alive].reset_index(drop=True)
+                ids = ids[alive].reset_index(drop=True)
+                p, dprod = p[alive], dprod[alive]
+                lo, hi = lo[alive], hi[alive]
+                us = [u[alive] for u in us]
+            if not len(frontier):
+                break
+            u = us[i]
+            if mode == "ew":
+                cw = step["cumw"]
+                target = cw[lo] + u * (cw[hi] - cw[lo])
+                idx = np.searchsorted(cw, target, side="right") - 1
+                idx = np.clip(idx, lo, hi - 1)
+            else:
+                d = hi - lo
+                idx = lo + np.minimum((u * d).astype(np.int64), d - 1)
+                p = p / d
+                dprod = dprod * d
+            child_rows = step["child"].iloc[idx].reset_index(drop=True)
+            keep = [c for c in child_rows.columns if c not in frontier.columns]
+            frontier = pd.concat([frontier, child_rows[keep]], axis=1)
+        out = frontier[value_cols].copy()
+        out[REQ] = ids[REQ].to_numpy()
+        out[WALK] = ids[WALK].to_numpy()
+        out[P] = p
+        out[DPROD] = dprod
+        return out
 
     def walk_partition(batches):
-        data = bc.value
         for pdf in batches:
-            if not len(pdf):
-                continue
-            frontier = data["root"].iloc[pdf["__start"].to_numpy()].reset_index(drop=True)
-            p = np.full(len(frontier), inv_root)
-            dprod = np.ones(len(frontier))
-            us = [pdf[f"__u{i}"].to_numpy() for i in range(n_steps)]
-            for i, step in enumerate(data["steps"]):
-                keyvals = frontier[step["pcol"]].to_numpy()
-                lo = np.searchsorted(step["keys"], keyvals, side="left")
-                hi = np.searchsorted(step["keys"], keyvals, side="right")
-                alive = hi > lo
-                if walk_mode == "ew":
-                    # a range whose weights are all zero is a dead end too
-                    cw = step["cumw"]
-                    alive &= cw[hi] > cw[lo]
-                if not alive.all():
-                    frontier = frontier[alive].reset_index(drop=True)
-                    p, dprod = p[alive], dprod[alive]
-                    lo, hi = lo[alive], hi[alive]
-                    us = [u[alive] for u in us]
-                if not len(frontier):
-                    break
-                u = us[i]
-                if walk_mode == "ew":
-                    cw = step["cumw"]
-                    target = cw[lo] + u * (cw[hi] - cw[lo])
-                    idx = np.searchsorted(cw, target, side="right") - 1
-                    idx = np.clip(idx, lo, hi - 1)
-                else:
-                    d = hi - lo
-                    idx = lo + np.minimum((u * d).astype(np.int64), d - 1)
-                    p = p / d
-                    dprod = dprod * d
-                child_rows = step["child"].iloc[idx].reset_index(drop=True)
-                keep = [c for c in child_rows.columns if c not in frontier.columns]
-                frontier = pd.concat([frontier, child_rows[keep]], axis=1)
-            if not len(frontier):
-                continue
-            out = frontier[value_cols].copy()
-            out[P] = p
-            out[DPROD] = dprod
-            yield out
+            for k, part in pdf.groupby(REQ, sort=False):
+                bc, mode = jobs[k]
+                out = walk(bc.value, part, mode)
+                if len(out):
+                    yield out
 
-    n_parts = max(1, min(int(spark.sparkContext.defaultParallelism), n_walks // 500))
-    df = spark.createDataFrame(seeds)
-    if n_parts > 1:
-        df = df.repartition(n_parts)
-    walked = df.mapInPandas(walk_partition, schema=out_schema)
+    # Seeds are built with defaultParallelism slices; coalescing them to
+    # n_parts tasks (no shuffle) keeps small batches in one Python task.
+    n_parts = max(1, min(int(spark.sparkContext.defaultParallelism), len(seeds) // 500))
+    walked = spark.createDataFrame(seeds).coalesce(n_parts).mapInPandas(
+        walk_partition, schema=out_schema
+    )
     sel = list(walked.columns)
     if hash_specs:
         for cols, alias in hash_specs.items():
@@ -250,11 +303,14 @@ def run_walks(
                 F.xxhash64(*[F.col(c).cast("string") for c in sorted(cols)]).alias(alias)
             )
     pdf = walked.select(*sel).toPandas()
-    if mode == "ew":
-        pdf[P] = 1.0 / total
-        pdf = pdf.drop(columns=[DPROD])
-    n_done = len(pdf)
-    return WalkResult(pdf, n_walks - n_done, n_walks)
+    for k, part in pdf.groupby(REQ, sort=False):
+        part = part.sort_values(WALK).drop(columns=[REQ, WALK]).reset_index(drop=True)
+        if k in ew_p:
+            part[P] = ew_p[k]
+            part = part.drop(columns=[DPROD])
+        n = requests[k].n_walks
+        results[k] = WalkResult(part, n - len(part), n)
+    return WalkBatch(results)
 
 
 def ht_estimate(result: WalkResult) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.join_sampler import JoinContext, SampleStats, sample_join
 from repro.core.join_spec import Relation, chain
+from deadline import deadline
 from statutil import assert_uniform
 
 
@@ -48,28 +49,28 @@ def test_olken_bound_sound(ctx):
 
 @pytest.mark.parametrize("method", ["ew", "eo"])
 def test_sampler_returns_exact_n(ctx, method):
-    s = sample_join(ctx, 37, method=method, seed=1)
+    s = sample_join({ctx: 37}, method=method, seed=1)
     assert len(s) == 37
 
 
 @pytest.mark.parametrize("method", ["ew", "eo"])
 def test_sampler_uniform(ctx, skewed, method):
     join, full = skewed
-    s = sample_join(ctx, 4000, method=method, seed=2)
+    s = sample_join({ctx: 4000}, method=method, seed=2)
     assert_uniform(s[join.value_cols], full, join.value_cols)
 
 
 @pytest.mark.parametrize("method", ["ew", "eo"])
 def test_samples_are_valid_join_tuples(ctx, skewed, method):
     join, full = skewed
-    s = sample_join(ctx, 200, method=method, seed=3)
+    s = sample_join({ctx: 200}, method=method, seed=3)
     merged = s[join.value_cols].merge(full.drop_duplicates(), how="left", indicator=True)
     assert (merged["_merge"] == "both").all()
 
 
 def test_eo_tracks_rejections(ctx):
     stats = SampleStats()
-    sample_join(ctx, 100, method="eo", seed=4, stats=stats)
+    sample_join({ctx: 100}, method="eo", seed=4, stats=stats)
     assert stats.n_walks >= 100
     assert stats.n_accepted == 100
     # skewed data ⇒ the Olken bound is loose ⇒ some weight rejections
@@ -79,13 +80,13 @@ def test_eo_tracks_rejections(ctx):
 def test_ew_zero_rejection_rate(ctx):
     # EW over-draws only the constant slack, never because of weights.
     stats = SampleStats()
-    sample_join(ctx, 100, method="ew", seed=5, stats=stats)
+    sample_join({ctx: 100}, method="ew", seed=5, stats=stats)
     assert stats.n_rejected_weight == 0
 
 
 def test_unknown_method(ctx):
     with pytest.raises(ValueError):
-        sample_join(ctx, 1, method="nope")
+        sample_join({ctx: 1}, method="nope")
 
 
 def test_pandas_dp_matches_spark_dp(ctx):
@@ -112,3 +113,15 @@ def test_reduction_preserves_join(spark, skewed, ctx):
         .reset_index(drop=True)[join.value_cols]
     )
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
+
+
+@pytest.mark.parametrize("method", ["ew", "eo"])
+def test_empty_join_raises(spark, method):
+    """A join with no results cannot be sampled: the sampler says so
+    instead of drawing forever."""
+    a = pd.DataFrame({"x": [1, 2, 3], "pa": [0, 1, 2]})
+    b = pd.DataFrame({"bx": [7, 8], "pb": [0, 1]})
+    a, b = Relation("a", spark.createDataFrame(a)), Relation("b", spark.createDataFrame(b))
+    ctx = JoinContext(spark, chain("nomatch", [a, b], [("x", "bx")]))
+    with deadline(10), pytest.raises(ValueError, match="nomatch"):
+        sample_join({ctx: 5}, method=method, seed=0)

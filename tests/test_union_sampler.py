@@ -1,11 +1,14 @@
 """Algorithm 1: uniformity over the set union (Theorem 1), variants,
 cost accounting. Uses a 3-join union with substantial, asymmetric overlap
 so cover sizes genuinely differ from join sizes."""
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.exact import union_tuples
+from repro.core.histogram_union import build_estimate
 from repro.core.join_sampler import UnionContext
 from repro.core.join_spec import Relation, chain
 from repro.core.union_sampler import (
@@ -13,6 +16,8 @@ from repro.core.union_sampler import (
     set_union_sample,
     warmup_params,
 )
+from repro.core.randomwalk_union import randomwalk_warmup
+from deadline import deadline
 from statutil import assert_not_uniform, assert_uniform
 
 
@@ -149,3 +154,56 @@ def test_unknown_variant(uctx, exact_est):
 def test_unknown_warmup(uctx):
     with pytest.raises(ValueError):
         warmup_params(uctx, "nope")
+
+
+def _count_jobs(spark, fn):
+    """(result of ``fn()``, Spark jobs it started), via a job group."""
+    sc = spark.sparkContext
+    group = f"test-jobs-{next(_groups)}"
+    sc.setJobGroup(group, "job-count test")
+    try:
+        result = fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty(30_000)
+    return result, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+_groups = itertools.count()
+
+
+def test_one_walk_job_per_round(spark, uctx, exact_est):
+    """All joins of a round walk in one Spark job: with the plans and the
+    membership index built, a call starts at most one job per round."""
+    for name in uctx.names:
+        uctx.ctx(name).plan
+    uctx.membership
+    res, jobs = _count_jobs(
+        spark,
+        lambda: set_union_sample(uctx, 200, warmup=exact_est, sampler="eo", seed=19),
+    )
+    assert len(res.samples) == 200
+    assert 1 <= res.rounds and jobs <= res.rounds
+    _, jobs = _count_jobs(
+        spark, lambda: randomwalk_warmup(uctx, batch=200, max_samples=600, seed=20)
+    )
+    assert jobs <= 3
+
+
+@pytest.mark.parametrize("empty_size", [0.0, 50.0])
+def test_union_with_empty_join_returns_n(spark, tri_union, empty_size):
+    """An empty join in the union gets no slots, even when the estimate
+    wrongly gives it a size, so the other joins fill all N of them."""
+    b = tri_union[0].relations()[1]
+    empty = Relation(
+        "a", spark.createDataFrame(pd.DataFrame({"x": [97, 98, 99], "pa": [0, 1, 2]}))
+    )
+    joins = [tri_union[0], chain("empty", [empty, b], [("x", "bx")]), tri_union[2]]
+    u = UnionContext(spark, joins)
+    ex = warmup_params(u, "exact")
+    sizes = {**ex.sizes, "empty": empty_size}
+    est = build_estimate("test", u.names, sizes, ex.overlaps)
+    with deadline(60):
+        res = set_union_sample(u, 300, warmup=est, seed=21)
+    assert len(res.samples) == 300
+    assert res.per_join_accepted["empty"] == 0
