@@ -22,8 +22,8 @@ from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
 from .join_spec import Join, Relation
-from .weights import exact_size, weighted_join
 from .walker import WalkRequest, run_walks
+from .weights import exact_size
 
 
 @dataclass
@@ -73,15 +73,13 @@ def sample_cyclic(
 ) -> pd.DataFrame:
     """Exactly ``n`` i.i.d. uniform tuples from the cyclic join result."""
     rng = np.random.default_rng(seed)
-    wskel = weighted_join(cj.skeleton)
-    total = exact_size(wskel)
     m = cj.residual_max_degree()
     out: list[pd.DataFrame] = []
     got = 0
     while got < n:
         batch = max(int((n - got) * 2.0) + 8, 16)
-        request = WalkRequest(wskel, batch, "ew", total)
-        (res,) = run_walks(spark, [request], seed=int(rng.integers(2**31))).results
+        request = WalkRequest(cj.skeleton, batch, "ew")
+        (res,) = run_walks([request], seed=int(rng.integers(2**31))).results
         pdf = res.pdf.drop(columns=["__p"])
         pdf["__walk"] = np.arange(len(pdf))
         cand = spark.createDataFrame(pdf).join(

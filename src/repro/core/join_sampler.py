@@ -19,9 +19,11 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
+from . import walker
 from .join_spec import Join
+from .membership import MembershipIndex
 from .olken import reduce_join
-from .walker import DPROD, WalkBatch, WalkRequest, run_walks
+from .walker import DPROD, WalkBatch, WalkPlan, WalkRequest, run_walks
 from .weights import weighted_join
 
 JOIN = "__join"  # name of the join a sample_join row was drawn from
@@ -38,27 +40,22 @@ class SampleStats:
 
 
 class JoinContext:
-    """Per-join cached artifacts, all derived from the walk plan (the
-    one-time collected + reduced + EW-weighted index of the join).
+    """Per-join artifacts, all derived from the walk plan (the one-time
+    collected + reduced + EW-weighted index of the join, cached by
+    :func:`repro.core.walker._walk_plan`).
 
     ``reduced``/``weighted`` Spark reference implementations remain
     available for cross-checks (:mod:`repro.core.olken`,
     :mod:`repro.core.weights`), but the sampling path reads the plan.
     """
 
-    def __init__(self, spark: SparkSession, join: Join):
-        self.spark = spark
+    def __init__(self, join: Join):
         self.join = join
         self.name = join.name
-        self._plan: dict | None = None
 
     @property
-    def plan(self) -> dict:
-        if self._plan is None:
-            from .walker import _walk_plan
-
-            self._plan = _walk_plan(self.spark, self.join)
-        return self._plan
+    def plan(self) -> WalkPlan:
+        return walker._walk_plan(self.join)
 
     @property
     def reduced(self) -> Join:
@@ -75,43 +72,36 @@ class JoinContext:
     @property
     def size_exact(self) -> int:
         """Exact |J| — Σ of root EW weights (no join materialization)."""
-        return int(round(self.plan["total_weight"]))
+        return int(round(self.plan.total_weight))
 
     @property
     def size_olken(self) -> int:
         """Extended Olken bound |R_root| · Π M over the reduced relations
         (the paper's EO with non-joinable tuples zeroed out)."""
         bound = self.n_root
-        for step in self.plan["steps"]:
-            if not step["fake"]:
-                bound *= step["max_deg"]
+        for step in self.plan.steps:
+            if not step.fake:
+                bound *= step.max_deg
         return int(bound)
 
     @property
     def m_prod(self) -> float:
         prod = 1.0
-        for step in self.plan["steps"]:
-            if not step["fake"]:
-                prod *= step["max_deg"]
+        for step in self.plan.steps:
+            if not step.fake:
+                prod *= step.max_deg
         return prod
 
     @property
     def n_root(self) -> int:
-        return len(self.plan["root"])
+        return len(self.plan.root)
 
 
-def wander_walks(
-    ctxs: list[JoinContext], n: int, seed: int, *, hash_specs=None
-) -> WalkBatch:
-    """``n`` uniform random walks with tracked p(t) over each join, all in
-    one Spark job; the plan's full reduction means walks never dead-end
-    (the paper's zero-weight fix)."""
-    return run_walks(
-        ctxs[0].spark,
-        [WalkRequest(c.join, n, "uniform") for c in ctxs],
-        seed=seed,
-        hash_specs=hash_specs,
-    )
+def wander_walks(ctxs: list[JoinContext], n: int, seed: int) -> WalkBatch:
+    """``n`` uniform random walks with tracked p(t) over each join; the
+    plan's full reduction means walks never dead-end (the paper's
+    zero-weight fix)."""
+    return run_walks([WalkRequest(c.join, n, "uniform") for c in ctxs], seed=seed)
 
 
 def sample_join(
@@ -120,16 +110,15 @@ def sample_join(
     method: str = "ew",
     seed: int = 0,
     stats: SampleStats | None = None,
-    hash_specs=None,
     predicate=None,
 ) -> pd.DataFrame:
     """Return exactly ``counts[ctx]`` i.i.d. uniform tuples from each
     join, using the EW or EO instantiation. Each over-draw iteration is
-    one Spark walk job for every join still short.
+    one :func:`run_walks` call for every join still short.
 
-    The result holds the value columns, ``__join`` (the join's name) and
-    any ``__h*`` hash columns, joins in the order of ``counts``. Sampling
-    a join with no results raises ``ValueError``.
+    The result holds the value columns and ``__join`` (the join's name),
+    joins in the order of ``counts``. Sampling a join with no results
+    raises ``ValueError``.
 
     ``predicate`` (pandas DataFrame → boolean mask) enforces a selection
     during sampling — §8.3's second alternative: an extra rejection factor,
@@ -140,7 +129,7 @@ def sample_join(
         raise ValueError(method)
     need = {c: n for c, n in counts.items() if n > 0}
     for c in need:
-        if c.plan["total_weight"] <= 0:
+        if c.plan.total_weight <= 0:
             raise ValueError(f"join {c.name} has no results to sample")
     rng = np.random.default_rng(seed)
     out: dict[JoinContext, list[pd.DataFrame]] = {c: [] for c in need}
@@ -160,12 +149,7 @@ def sample_join(
             )
             for c in short
         ]
-        batch = run_walks(
-            short[0].spark,
-            requests,
-            seed=int(rng.integers(2**31)),
-            hash_specs=hash_specs,
-        )
+        batch = run_walks(requests, seed=int(rng.integers(2**31)))
         for c, res in zip(short, batch.results):
             if stats is not None:
                 stats.n_walks += res.n_walks
@@ -181,8 +165,7 @@ def sample_join(
             if predicate is not None and len(pdf):
                 pdf = pdf[predicate(pdf)]
             if len(pdf):
-                hashes = [x for x in pdf.columns if x.startswith("__h")]
-                out[c].append(pdf[c.join.value_cols + hashes])
+                out[c].append(pdf[c.join.value_cols])
                 got[c] += len(pdf)
     frames = [
         pd.concat(out[c], ignore_index=True).head(need[c]).assign(**{JOIN: c.name})
@@ -207,18 +190,16 @@ class UnionContext:
 
     def __post_init__(self) -> None:
         for j in self.joins:
-            self.contexts[j.name] = JoinContext(self.spark, j)
+            self.contexts[j.name] = JoinContext(j)
 
     def ctx(self, name: str) -> JoinContext:
         return self.contexts[name]
 
     @property
     def membership(self):
-        """Lazily built hash MembershipIndex over all joins (§6.2 probes)."""
+        """Lazily built MembershipIndex over all joins (§6.2 probes)."""
         if self._membership is None:
-            from .membership import MembershipIndex
-
-            self._membership = MembershipIndex(self.spark, self.joins)
+            self._membership = MembershipIndex(self.joins)
         return self._membership
 
     @property

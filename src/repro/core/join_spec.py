@@ -18,8 +18,9 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from functools import cached_property
 
+import pandas as pd
 from pyspark.sql import DataFrame
 
 
@@ -38,6 +39,13 @@ class Relation:
     @property
     def cols(self) -> list[str]:
         return visible_cols(self.df)
+
+    @cached_property
+    def pdf(self) -> pd.DataFrame:
+        """The relation collected to the driver, once: the one copy that
+        walk plans and membership indexes read (a relation shared by
+        several joins is collected once)."""
+        return self.df.toPandas()
 
 
 @dataclass
@@ -243,10 +251,3 @@ def reroot(join: Join, relation_name: str) -> Join:
         return node
 
     return Join(join.name, build(relation_name, None))
-
-
-JoinFactory = Callable[[], Join]
-
-
-def iter_subtrees(join: Join) -> Iterator[Node]:
-    yield from join.nodes()

@@ -11,12 +11,10 @@ Two implementations:
 * :func:`member_ids` — reference path: one ``left_semi`` join per relation
   (a Spark job per probe batch). Exact; used by tests as the oracle.
 * :class:`MembershipIndex` — production path, the analogue of the paper's
-  in-memory hash tables over relations: a one-time Spark pass computes the
-  ``xxhash64`` of every relation row's visible columns; probes hash the
-  candidate batch with the SAME Spark expression (one job per batch for
-  all joins together) and test membership with sorted-array lookups on the
-  driver. 64-bit hashing makes false positives negligible (checked against
-  the semijoin path in tests).
+  in-memory hash tables over relations: the distinct rows of each distinct
+  relation, indexed once from the frame the walk plans collect, so a probe
+  is an exact lookup of each candidate's projection on the driver, with no
+  Spark job.
 """
 from __future__ import annotations
 
@@ -25,7 +23,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
-from .join_spec import Join
+from .join_spec import Join, Relation
 
 CAND = "__cand"
 
@@ -46,91 +44,49 @@ def member_ids(
     return np.sort(ids)
 
 
-def _hash_expr(cols: list[str]):
-    # Normalize floats/dates to strings so hashes agree between the
-    # relation pass and the candidate pass after a pandas round trip.
-    return F.xxhash64(*[F.col(c).cast("string") for c in sorted(cols)])
-
-
 class MembershipIndex:
-    """Pre-hashed relation signatures for O(log n) membership probes."""
+    """The distinct visible-column rows of every relation of ``joins``,
+    indexed once per distinct relation (shared relations are indexed once)."""
 
-    def __init__(self, spark: SparkSession, joins: list[Join]):
-        self.spark = spark
+    def __init__(self, joins: list[Join]):
         self.joins = joins
-        # relation hash sets, keyed by (join name, relation name)
-        self.rel_hashes: dict[tuple[str, str], np.ndarray] = {}
-        # candidate hash columns to compute, keyed by sorted col tuple
-        self.col_sets: dict[tuple[str, ...], str] = {}
+        self.rows: dict[Relation, pd.MultiIndex] = {}
         for join in joins:
             for rel in join.relations():
-                key = tuple(sorted(rel.cols))
-                self.col_sets.setdefault(key, f"__h{len(self.col_sets)}")
-                h = (
-                    rel.df.select(_hash_expr(rel.cols).alias("h"))
-                    .distinct()
-                    .toPandas()["h"]
-                    .to_numpy(dtype=np.int64)
-                )
-                self.rel_hashes[(join.name, rel.name)] = np.sort(h)
-
-    def _candidate_hashes(self, candidates: pd.DataFrame) -> pd.DataFrame:
-        # Fast path: the walker already computed the signature columns in
-        # its own job (run_walks(hash_specs=...)) — no Spark round trip.
-        aliases = list(self.col_sets.values())
-        if all(a in candidates.columns for a in aliases):
-            return candidates[aliases]
-        df = self.spark.createDataFrame(
-            candidates.reset_index(drop=True)[
-                [c for c in candidates.columns if not c.startswith("__")]
-            ]
-        )
-        exprs = [
-            _hash_expr(list(cols)).alias(alias)
-            for cols, alias in self.col_sets.items()
-        ]
-        return df.select(*exprs).toPandas()
+                if rel not in self.rows:
+                    self.rows[rel] = pd.MultiIndex.from_frame(rel.pdf[rel.cols]).unique()
 
     def matrix(self, candidates: pd.DataFrame) -> np.ndarray:
         """Boolean matrix m[i, j] = candidates.iloc[i] ∈ joins[j]."""
-        cand_h = self._candidate_hashes(candidates)
+        found = {
+            rel: rows.get_indexer(pd.MultiIndex.from_frame(candidates[rel.cols])) >= 0
+            for rel, rows in self.rows.items()
+        }
         m = np.ones((len(candidates), len(self.joins)), dtype=bool)
         for j, join in enumerate(self.joins):
             for a, b in join.condition_pairs():
-                m[:, j] &= (
-                    candidates[a].to_numpy() == candidates[b].to_numpy()
-                )
+                m[:, j] &= candidates[a].to_numpy() == candidates[b].to_numpy()
             for rel in join.relations():
-                alias = self.col_sets[tuple(sorted(rel.cols))]
-                hashes = self.rel_hashes[(join.name, rel.name)]
-                probe = cand_h[alias].to_numpy(dtype=np.int64)
-                pos = np.searchsorted(hashes, probe)
-                pos = np.clip(pos, 0, len(hashes) - 1) if len(hashes) else pos
-                found = (
-                    hashes[pos] == probe if len(hashes) else np.zeros(len(probe), bool)
-                )
-                m[:, j] &= found
+                m[:, j] &= found[rel]
         return m
 
     def min_index(self, candidates: pd.DataFrame) -> np.ndarray:
         """f(u) = index of the first join containing each candidate (the
         deterministic min-index cover of §3.1); -1 if in none."""
-        m = self.matrix(candidates)
-        out = np.full(len(candidates), -1, dtype=np.int64)
-        any_row = m.any(axis=1)
-        out[any_row] = m[any_row].argmax(axis=1)
-        return out
+        return _first_join(self.matrix(candidates))
+
+
+def _first_join(m: np.ndarray) -> np.ndarray:
+    out = np.full(len(m), -1, dtype=np.int64)
+    any_row = m.any(axis=1)
+    out[any_row] = m[any_row].argmax(axis=1)
+    return out
 
 
 def membership_matrix(
-    spark: SparkSession,
-    candidates: pd.DataFrame,
-    joins: list[Join],
-    index: MembershipIndex | None = None,
+    spark: SparkSession, candidates: pd.DataFrame, joins: list[Join]
 ) -> np.ndarray:
-    """Boolean matrix m[i, j] = candidates.iloc[i] ∈ joins[j]."""
-    if index is not None:
-        return index.matrix(candidates)
+    """Reference m[i, j] = candidates.iloc[i] ∈ joins[j], via semijoins."""
     m = np.zeros((len(candidates), len(joins)), dtype=bool)
     for j, join in enumerate(joins):
         m[member_ids(spark, candidates, join), j] = True
@@ -138,16 +94,7 @@ def membership_matrix(
 
 
 def min_join_index(
-    spark: SparkSession,
-    candidates: pd.DataFrame,
-    joins: list[Join],
-    index: MembershipIndex | None = None,
+    spark: SparkSession, candidates: pd.DataFrame, joins: list[Join]
 ) -> np.ndarray:
-    """f(u) over the reference path or a prebuilt index."""
-    if index is not None:
-        return index.min_index(candidates)
-    m = membership_matrix(spark, candidates, joins)
-    out = np.full(len(candidates), -1, dtype=np.int64)
-    any_row = m.any(axis=1)
-    out[any_row] = m[any_row].argmax(axis=1)
-    return out
+    """Reference f(u), via semijoins."""
+    return _first_join(membership_matrix(spark, candidates, joins))

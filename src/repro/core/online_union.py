@@ -158,12 +158,7 @@ def online_union_sample(
             draws = {
                 uctx.ctx(j): int(np.ceil(need * 1.5)) + 4 for j, need in outstanding.items()
             }
-            batch = sample_join(
-                draws,
-                method=sampler,
-                seed=int(rng.integers(2**31)),
-                hash_specs=uctx.membership.col_sets,
-            )
+            batch = sample_join(draws, method=sampler, seed=int(rng.integers(2**31)))
             f = uctx.membership.min_index(batch)
             in_cover = f == batch[JOIN].map(jidx_of).to_numpy()
             records_since_bt += len(batch)

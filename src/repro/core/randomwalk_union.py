@@ -9,11 +9,12 @@ estimate |J|_S = mean of 1/p(t) (failures count 0), updated online, and
 
 where the 1/p weighting realizes the paper's S'_j multiset ("contains
 exactly 1/p(t) copies of t") without materializing it. Membership of pool
-tuples in other joins is probed with batched semijoins (§6.2's key
-queries). Sampling stops per join when the CI half-width of every overlap
-ratio is below the target or the pool reaches ``max_samples`` (the paper
-stops at 90% confidence or 1,000 samples). The joins not yet stopped walk
-round-robin, one Spark job per round for all of them.
+tuples in other joins is probed in batches against the union's
+MembershipIndex (§6.2's key queries). Sampling stops per join when the CI
+half-width of every overlap ratio is below the target or the pool reaches
+``max_samples`` (the paper stops at 90% confidence or 1,000 samples). The
+joins not yet stopped walk round-robin, one walk batch per round for all
+of them.
 
 The pools and probabilities are returned so ONLINE-UNION (§7) can reuse
 them during the main sampling phase.
@@ -133,14 +134,11 @@ def randomwalk_warmup(
         )
         return hw <= rel_halfwidth * est
 
-    # Round-robin: each round walks every join not yet stopped, in one job.
+    # Round-robin: each round walks every join not yet stopped, in one batch.
     active = [name for name in names if more(name)]
     while active:
         walks = wander_walks(
-            [uctx.ctx(name) for name in active],
-            batch,
-            seed=int(rng.integers(2**31)),
-            hash_specs=uctx.membership.col_sets,
+            [uctx.ctx(name) for name in active], batch, seed=int(rng.integers(2**31))
         )
         for name, res in zip(active, walks.results):
             state.n_failed[name] += res.n_failed

@@ -183,7 +183,6 @@ def _oracle_sample(
             method=sampler,
             seed=int(rng.integers(2**31)),
             stats=stats,
-            hash_specs=uctx.membership.col_sets,
         )
         f = uctx.membership.min_index(batch)
         in_cover = f == batch[JOIN].map(jidx_of).to_numpy()

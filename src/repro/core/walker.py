@@ -1,12 +1,10 @@
 """Batched random walks over the join data graph (§6.1, wander join).
 
-One sampling round is ONE Spark job for all joins of a union: a DataFrame
-of walk seeds (request id, walk id, start row + pre-drawn uniforms, one
-per step), tagged with the join each walk belongs to, is processed by a
-``mapInPandas`` sampling operator. Executors hold broadcast copies of each
-join's (reduced, EW-weighted) relations, pre-sorted by their join columns,
-and advance all walks of one join in a seed batch simultaneously with
-vectorized ``searchsorted`` lookups:
+Walks run on the driver, against each join's walk plan: its relations,
+collected once (:attr:`Relation.pdf <repro.core.join_spec.Relation.pdf>`),
+fully reduced, EW-weighted and sorted by their join columns — the paper's
+in-memory hash indexes. All walks of one request advance together, one
+vectorized ``searchsorted`` lookup per join edge:
 
 * ``ew``      — within the joinable range [lo, hi) of the child relation a
                 row is picked ∝ its Exact Weight via the cumulative-weight
@@ -16,73 +14,89 @@ vectorized ``searchsorted`` lookups:
                 join); p(t) = 1/|R_root| · Π 1/dᵢ and Π dᵢ are tracked per
                 walk for HT estimation and Olken (EO) acceptance.
 
-Dead-ended walks are dropped from the batch and reported in ``n_failed``
+Dead-ended walks are dropped from the result and reported in ``n_failed``
 (they contribute 0 to HT estimates, as in the paper). Randomness is drawn
-on the driver and shipped with the seeds, and each join's output is put
-back in walk-id order, so results are deterministic in ``seed`` regardless
-of partitioning and Arrow batch size.
-
-This is the "custom sampling operator" realization: relations never pass
-through a shuffle and the join is never materialized — the only Spark
-aggregations happen once, in the EW weight DP and the statistics.
+request by request from one generator, so results are deterministic in
+``seed``. No Spark job runs once a join's plan is built.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from .join_spec import Join
 from .weights import W
 
 P = "__p"
 DPROD = "__dprod"
-REQ = "__req"  # index of the walk's request in its batch
-WALK = "__walk"  # walk id, unique within a batch
-START = "__start"
 
 
 @dataclass
 class WalkResult:
     """Completed walks: value columns + ``__p`` (+ ``__dprod`` in uniform
-    mode, + any requested ``__h*`` hash columns), plus failure count."""
+    mode), plus failure count."""
 
     pdf: pd.DataFrame
     n_failed: int
     n_walks: int
 
 
-def _collect(df) -> pd.DataFrame:
-    """Cached toPandas of a relation (shared dimension tables are
-    collected once even when several joins reference them)."""
-    cached = getattr(df, "_repro_pandas", None)
-    if cached is None:
-        cached = df.toPandas()
-        df._repro_pandas = cached
-    return cached
+@dataclass
+class WalkStep:
+    """Join edge i of a plan: the walk follows ``frames[src][pcol]`` into
+    ``frames[i + 1]``, the child relation sorted by its join key."""
+
+    src: int
+    pcol: str
+    keys: np.ndarray  # the child's sorted join keys
+    cumw: np.ndarray  # cumulative EW weights of the sorted child rows, from 0
+    max_deg: int
+    fake: bool
 
 
-def _walk_plan(spark: SparkSession, join: Join) -> dict:
-    """Collect, reduce, weight, and pre-sort the join's relations once;
-    broadcast to executors. Cached on the Join object — this is the
-    one-time "index construction" of the paper's framework (their hash
-    tables). The full (Yannakakis) reduction and the EW weight DP run
-    vectorized on the collected data; the Spark-aggregation reference
-    implementations live in :mod:`repro.core.olken` and
+@dataclass
+class WalkPlan:
+    """A join's walk index: the root relation, then each edge's child."""
+
+    frames: list[pd.DataFrame]
+    root_w: np.ndarray  # EW weight of each root row
+    total_weight: float  # Σ root_w, the exact join size
+    steps: list[WalkStep]
+    owner: dict[str, int]  # column -> first frame holding it
+
+    @property
+    def root(self) -> pd.DataFrame:
+        return self.frames[0]
+
+    def gather(self, rows: list[np.ndarray], cols: list[str]) -> pd.DataFrame:
+        """The ``cols`` of walks that sit at ``rows[k]`` of each frame k."""
+        return pd.DataFrame(
+            {c: self.frames[self.owner[c]][c].to_numpy()[rows[self.owner[c]]] for c in cols}
+        )
+
+
+# The one plan cache. Weak keys: a join's plan lives as long as the join.
+_plans: weakref.WeakKeyDictionary[Join, WalkPlan] = weakref.WeakKeyDictionary()
+
+
+def _walk_plan(join: Join) -> WalkPlan:
+    """Reduce, weight and sort the join's collected relations, once per
+    join — the one-time "index construction" of the paper's framework
+    (their hash tables). The full (Yannakakis) reduction and the EW weight
+    DP run vectorized on the collected data; the Spark-aggregation
+    reference implementations live in :mod:`repro.core.olken` and
     :mod:`repro.core.weights` and are cross-checked by tests.
     """
-    cached = join.__dict__.get("_walk_plan")
+    cached = _plans.get(join)
     if cached is not None:
         return cached
     nodes = join.nodes()
     edges = list(join.edges())  # (parent Node, Edge), BFS order
     pdfs: dict[int, pd.DataFrame] = {
-        id(n): _collect(n.relation.df).drop(columns=[W], errors="ignore")
-        for n in nodes
+        id(n): n.relation.pdf.drop(columns=[W], errors="ignore") for n in nodes
     }
     # --- full reducer: bottom-up then top-down semijoins -----------------
     for parent, e in reversed(edges):
@@ -101,51 +115,61 @@ def _walk_plan(spark: SparkSession, join: Join) -> dict:
         sums = pd.Series(w[id(e.child)]).groupby(ch[e.child_col]).sum()
         factor = pdfs[id(parent)][e.parent_col].map(sums).fillna(0.0).to_numpy()
         w[id(parent)] = w[id(parent)] * factor
-    root_pdf = pdfs[id(join.root)]
     root_w = w[id(join.root)]
-    # --- per-edge sorted key arrays + cumulative weights ------------------
+    # --- per-edge sorted children + cumulative weights --------------------
+    frames = [pdfs[id(join.root)]]
+    owner = dict.fromkeys(frames[0].columns, 0)
     steps = []
     for parent, e in edges:
         child = pdfs[id(e.child)]
         keys = child[e.child_col].to_numpy()
         order = np.argsort(keys, kind="stable")
-        child_sorted = child.iloc[order].reset_index(drop=True)
         keys_sorted = keys[order]
-        cw = w[id(e.child)][order]
-        cumw = np.concatenate([[0.0], np.cumsum(cw)])
-        if len(keys_sorted):
-            _, counts = np.unique(keys_sorted, return_counts=True)
-            max_deg = int(counts.max())
-        else:
-            max_deg = 0
+        cumw = np.concatenate([[0.0], np.cumsum(w[id(e.child)][order])])
+        max_deg = int(np.unique(keys_sorted, return_counts=True)[1].max()) if len(keys) else 0
         steps.append(
-            {
-                "pcol": e.parent_col,
-                "ccol": e.child_col,
-                "keys": keys_sorted,
-                "cumw": cumw,
-                "child": child_sorted,
-                "max_deg": max_deg,
-                "fake": e.fake,
-            }
+            WalkStep(owner[e.parent_col], e.parent_col, keys_sorted, cumw, max_deg, e.fake)
         )
-    plan = {
-        "root": root_pdf,
-        "root_w": root_w,
-        "total_weight": float(root_w.sum()),
-        "steps": steps,
-        "bc": spark.sparkContext.broadcast({"root": root_pdf, "steps": steps}),
-    }
-    join.__dict__["_walk_plan"] = plan
+        frames.append(child.iloc[order].reset_index(drop=True))
+        for c in child.columns:
+            owner.setdefault(c, len(frames) - 1)
+    plan = WalkPlan(frames, root_w, float(root_w.sum()), steps, owner)
+    _plans[join] = plan
     return plan
 
 
-def _spark_field(join: Join, col: str) -> T.StructField:
-    for rel in join.relations():
-        for f in rel.df.schema.fields:
-            if f.name == col:
-                return T.StructField(col, f.dataType)
-    raise KeyError(col)
+def walk_kernel(
+    plan: WalkPlan, starts: np.ndarray, us: np.ndarray, mode: str
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Advance one walk per root row in ``starts``; ``us[:, i]`` drives
+    step i. Returns, for the walks that complete, their row in every plan
+    frame, their p(t) in uniform mode, and Π dᵢ."""
+    rows = [starts]
+    p = np.full(len(starts), 1.0 / len(plan.root))
+    dprod = np.ones(len(starts))
+    for i, step in enumerate(plan.steps):
+        keyvals = plan.frames[step.src][step.pcol].to_numpy()[rows[step.src]]
+        lo = np.searchsorted(step.keys, keyvals, side="left")
+        hi = np.searchsorted(step.keys, keyvals, side="right")
+        alive = hi > lo
+        cw = step.cumw
+        if mode == "ew":
+            # a range whose weights are all zero is a dead end too
+            alive &= cw[hi] > cw[lo]
+        if not alive.all():
+            rows = [r[alive] for r in rows]
+            p, dprod, lo, hi, us = p[alive], dprod[alive], lo[alive], hi[alive], us[alive]
+        u = us[:, i]
+        if mode == "ew":
+            target = cw[lo] + u * (cw[hi] - cw[lo])
+            idx = np.clip(np.searchsorted(cw, target, side="right") - 1, lo, hi - 1)
+        else:
+            d = hi - lo
+            idx = lo + np.minimum((u * d).astype(np.int64), d - 1)
+            p = p / d
+            dprod = dprod * d
+        rows.append(idx)
+    return rows, p, dprod
 
 
 @dataclass
@@ -162,7 +186,8 @@ class WalkRequest:
 
 @dataclass
 class WalkBatch:
-    """The results of one walk job, one per request, in request order."""
+    """The results of one :func:`run_walks` call, one per request, in
+    request order."""
 
     results: list[WalkResult]
 
@@ -175,160 +200,33 @@ class WalkBatch:
         return sum(r.n_failed for r in self.results)
 
 
-def run_walks(
-    spark: SparkSession,
-    requests: list[WalkRequest],
-    *,
-    seed: int = 0,
-    hash_specs: dict[tuple[str, ...], str] | None = None,
-) -> WalkBatch:
-    """Run every request's independent random walks in one Spark job.
+def run_walks(requests: list[WalkRequest], *, seed: int = 0) -> WalkBatch:
+    """Run every request's independent random walks.
 
-    All requested joins share one output schema (their value columns).
-    ``hash_specs`` maps sorted column tuples to output aliases; matching
-    ``xxhash64`` signature columns are appended in the same job so
-    membership probes need no extra Spark round trip. A request for an
-    empty join (or an EW request whose total weight is 0) walks nowhere:
-    all its walks fail. No job runs when no request has a walk to run.
+    A request for an empty join (or an EW request whose total weight is 0)
+    walks nowhere: all its walks fail.
     """
     rng = np.random.default_rng(seed)
-    results = [WalkResult(pd.DataFrame(), r.n_walks, r.n_walks) for r in requests]
-    jobs: dict[int, tuple] = {}  # request id -> (plan broadcast, mode), for executors
-    ew_p: dict[int, float] = {}  # request id -> the p(t) its EW walks record
-    pieces = []
-    for k, req in enumerate(requests):
+    results = []
+    for req in requests:
         if req.mode not in ("uniform", "ew"):
             raise ValueError(req.mode)
-        plan = _walk_plan(spark, req.join)
-        n_root = len(plan["root"])
-        if req.n_walks <= 0 or n_root == 0:
+        plan = _walk_plan(req.join)
+        n, n_root, tw = req.n_walks, len(plan.root), plan.total_weight
+        if n <= 0 or n_root == 0 or (req.mode == "ew" and tw <= 0):
+            results.append(WalkResult(pd.DataFrame(), n, n))
             continue
-        # --- start selection + pre-drawn randomness (driver side) --------
         if req.mode == "ew":
-            tw = plan["total_weight"]
-            if tw <= 0:
-                continue
-            starts = rng.choice(n_root, size=req.n_walks, p=plan["root_w"] / tw)
-            ew_p[k] = 1.0 / (req.total_weight if req.total_weight is not None else tw)
+            starts = rng.choice(n_root, size=n, p=plan.root_w / tw)
         else:
-            starts = rng.integers(0, n_root, size=req.n_walks)
-        us = rng.random((req.n_walks, len(plan["steps"])))
-        u_cols = {f"__u{i}": us[:, i] for i in range(us.shape[1])}
-        pieces.append(pd.DataFrame({REQ: k, START: starts, **u_cols}))
-        jobs[k] = (plan["bc"], req.mode)
-    if not pieces:
-        return WalkBatch(results)
-    # a join with fewer steps than another leaves its last uniforms unused
-    seeds = pd.concat(pieces, ignore_index=True).fillna(0.0)
-    seeds.insert(1, WALK, np.arange(len(seeds), dtype=np.int64))
-
-    join = requests[next(iter(jobs))].join
-    value_cols = join.value_cols
-    out_fields = [_spark_field(join, c) for c in value_cols]
-    out_fields += [
-        T.StructField(REQ, T.LongType()),
-        T.StructField(WALK, T.LongType()),
-        T.StructField(P, T.DoubleType()),
-        T.StructField(DPROD, T.DoubleType()),
-    ]
-    out_schema = T.StructType(out_fields)
-
-    # Nested, so that it is pickled by value: Python workers need not be
-    # able to import this package.
-    def walk(data: dict, seeds: pd.DataFrame, mode: str) -> pd.DataFrame:
-        """Advance the walks of ``seeds`` through one join's broadcast plan;
-        return the completed ones (value columns, request/walk ids, p, Π d)."""
-        n_steps = len(data["steps"])
-        frontier = data["root"].iloc[seeds[START].to_numpy()].reset_index(drop=True)
-        ids = seeds[[REQ, WALK]].reset_index(drop=True)
-        p = np.full(len(frontier), 1.0 / len(data["root"]))
-        dprod = np.ones(len(frontier))
-        us = [seeds[f"__u{i}"].to_numpy() for i in range(n_steps)]
-        for i, step in enumerate(data["steps"]):
-            keyvals = frontier[step["pcol"]].to_numpy()
-            lo = np.searchsorted(step["keys"], keyvals, side="left")
-            hi = np.searchsorted(step["keys"], keyvals, side="right")
-            alive = hi > lo
-            if mode == "ew":
-                # a range whose weights are all zero is a dead end too
-                cw = step["cumw"]
-                alive &= cw[hi] > cw[lo]
-            if not alive.all():
-                frontier = frontier[alive].reset_index(drop=True)
-                ids = ids[alive].reset_index(drop=True)
-                p, dprod = p[alive], dprod[alive]
-                lo, hi = lo[alive], hi[alive]
-                us = [u[alive] for u in us]
-            if not len(frontier):
-                break
-            u = us[i]
-            if mode == "ew":
-                cw = step["cumw"]
-                target = cw[lo] + u * (cw[hi] - cw[lo])
-                idx = np.searchsorted(cw, target, side="right") - 1
-                idx = np.clip(idx, lo, hi - 1)
-            else:
-                d = hi - lo
-                idx = lo + np.minimum((u * d).astype(np.int64), d - 1)
-                p = p / d
-                dprod = dprod * d
-            child_rows = step["child"].iloc[idx].reset_index(drop=True)
-            keep = [c for c in child_rows.columns if c not in frontier.columns]
-            frontier = pd.concat([frontier, child_rows[keep]], axis=1)
-        out = frontier[value_cols].copy()
-        out[REQ] = ids[REQ].to_numpy()
-        out[WALK] = ids[WALK].to_numpy()
-        out[P] = p
-        out[DPROD] = dprod
-        return out
-
-    def walk_partition(batches):
-        for pdf in batches:
-            for k, part in pdf.groupby(REQ, sort=False):
-                bc, mode = jobs[k]
-                out = walk(bc.value, part, mode)
-                if len(out):
-                    yield out
-
-    # Seeds are built with defaultParallelism slices; coalescing them to
-    # n_parts tasks (no shuffle) keeps small batches in one Python task.
-    n_parts = max(1, min(int(spark.sparkContext.defaultParallelism), len(seeds) // 500))
-    walked = spark.createDataFrame(seeds).coalesce(n_parts).mapInPandas(
-        walk_partition, schema=out_schema
-    )
-    sel = list(walked.columns)
-    if hash_specs:
-        for cols, alias in hash_specs.items():
-            sel.append(
-                F.xxhash64(*[F.col(c).cast("string") for c in sorted(cols)]).alias(alias)
-            )
-    pdf = walked.select(*sel).toPandas()
-    for k, part in pdf.groupby(REQ, sort=False):
-        part = part.sort_values(WALK).drop(columns=[REQ, WALK]).reset_index(drop=True)
-        if k in ew_p:
-            part[P] = ew_p[k]
-            part = part.drop(columns=[DPROD])
-        n = requests[k].n_walks
-        results[k] = WalkResult(part, n - len(part), n)
+            starts = rng.integers(0, n_root, size=n)
+        us = rng.random((n, len(plan.steps)))
+        rows, p, dprod = walk_kernel(plan, starts, us, req.mode)
+        pdf = plan.gather(rows, req.join.value_cols)
+        if req.mode == "ew":
+            pdf[P] = 1.0 / (req.total_weight if req.total_weight is not None else tw)
+        else:
+            pdf[P] = p
+            pdf[DPROD] = dprod
+        results.append(WalkResult(pdf, n - len(pdf), n))
     return WalkBatch(results)
-
-
-def ht_estimate(result: WalkResult) -> float:
-    """Horvitz–Thompson join-size estimate: mean over all walks of 1/p(t),
-    dead-ended walks counting 0 (§6.1)."""
-    if result.n_walks == 0:
-        return 0.0
-    inv = (1.0 / result.pdf[P]).sum() if len(result.pdf) else 0.0
-    return float(inv) / result.n_walks
-
-
-def ht_running_stats(inv_p: np.ndarray, n_total: int) -> tuple[float, float]:
-    """(mean, variance) of the HT estimator terms f(i) = 1/p(t_i) (0 for
-    failures) — the T_n(u), T_{n,2}(u) of §6.2 / Li et al."""
-    if n_total == 0:
-        return 0.0, 0.0
-    padded = np.zeros(n_total)
-    padded[: len(inv_p)] = inv_p
-    mean = float(padded.mean())
-    var = float(padded.var(ddof=1)) if n_total > 1 else 0.0
-    return mean, var

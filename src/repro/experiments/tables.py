@@ -3,7 +3,7 @@
 Each returns a list of row dicts — the data behind the corresponding
 figure panel of the paper. Timings separate the warm-up (parameter
 estimation) from sampling, and context preparation (index construction:
-Yannakakis reduction, EW weights, walk plans, membership hashes) is done
+Yannakakis reduction, EW weights, walk plans, membership index) is done
 by :func:`prewarm` beforehand so sampling measurements are steady-state —
 the paper likewise excludes its hash-index construction from sampling
 time.
@@ -41,9 +41,9 @@ def prewarm(uctx: UnionContext) -> None:
     """Materialize all per-join indexes so later timings are steady-state."""
     for name in uctx.names:
         ctx = uctx.ctx(name)
-        ctx.plan  # collect + reduce + weight + broadcast the join index
+        ctx.plan  # collect + reduce + weight + sort the join index
         ctx.size_olken
-    uctx.membership  # build the hash index
+    uctx.membership  # index the collected relations for membership probes
 
 
 def _hist_estimate(w: Workload, size_method: str = "eo"):

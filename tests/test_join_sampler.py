@@ -36,7 +36,7 @@ def skewed(spark):
 
 @pytest.fixture(scope="module")
 def ctx(spark, skewed):
-    return JoinContext(spark, skewed[0])
+    return JoinContext(skewed[0])
 
 
 def test_exact_size_matches_duckdb(ctx, skewed):
@@ -122,6 +122,6 @@ def test_empty_join_raises(spark, method):
     a = pd.DataFrame({"x": [1, 2, 3], "pa": [0, 1, 2]})
     b = pd.DataFrame({"bx": [7, 8], "pb": [0, 1]})
     a, b = Relation("a", spark.createDataFrame(a)), Relation("b", spark.createDataFrame(b))
-    ctx = JoinContext(spark, chain("nomatch", [a, b], [("x", "bx")]))
+    ctx = JoinContext(chain("nomatch", [a, b], [("x", "bx")]))
     with deadline(10), pytest.raises(ValueError, match="nomatch"):
         sample_join({ctx: 5}, method=method, seed=0)

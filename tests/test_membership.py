@@ -1,4 +1,4 @@
-"""Membership oracle: hash index vs the semijoin reference path."""
+"""Membership oracle: the exact index vs the semijoin reference path."""
 import pandas as pd
 import pytest
 
@@ -30,7 +30,7 @@ def candidates(spark, two_joins):
 
 def test_reference_vs_index(spark, two_joins, candidates):
     j1, j2 = two_joins
-    idx = MembershipIndex(spark, [j1, j2])
+    idx = MembershipIndex([j1, j2])
     m_idx = idx.matrix(candidates)
     m_ref = membership_matrix(spark, candidates, [j1, j2])
     assert (m_idx == m_ref).all()
@@ -46,7 +46,7 @@ def test_condition_violation_rejected(spark, two_joins, candidates):
 
 def test_min_join_index_first_wins(spark, two_joins, candidates):
     j1, j2 = two_joins
-    idx = MembershipIndex(spark, [j1, j2])
+    idx = MembershipIndex([j1, j2])
     f_idx = idx.min_index(candidates)
     f_ref = min_join_index(spark, candidates, [j1, j2])
     assert (f_idx == f_ref).all()
@@ -62,23 +62,10 @@ def test_member_ids_sorted(spark, two_joins, candidates):
     assert list(ids) == sorted(ids)
 
 
-def test_precomputed_hash_fast_path(spark, two_joins, candidates):
-    j1, j2 = two_joins
-    idx = MembershipIndex(spark, [j1, j2])
-    slow = idx.matrix(candidates)
-    # compute hashes once via the index's own Spark path, then reuse
-    hashed = candidates.copy()
-    hpdf = idx._candidate_hashes(candidates)
-    for c in hpdf.columns:
-        hashed[c] = hpdf[c].to_numpy()
-    fast = idx.matrix(hashed)
-    assert (slow == fast).all()
-
-
 def test_float_and_string_columns_roundtrip(spark, two_joins):
-    # float (p) and string (q) take part in hashing; exact roundtrip match
+    # float (p) and string (q) take part in the lookup; exact roundtrip match
     j1, j2 = two_joins
-    idx = MembershipIndex(spark, [j1, j2])
+    idx = MembershipIndex([j1, j2])
     own = j1.full_df().toPandas()
     m = idx.matrix(own)
     assert m[:, 0].all()

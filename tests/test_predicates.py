@@ -36,9 +36,9 @@ def test_pushdown_equals_sampling_time_filter(spark, data):
     truth = a_f.merge(b, left_on="x", right_on="bx").drop_duplicates()
     cols = ["x", "size", "bx", "pb"]
 
-    s_push = sample_join({JoinContext(spark, j_push): 2000}, method="ew", seed=1)
+    s_push = sample_join({JoinContext(j_push): 2000}, method="ew", seed=1)
     s_filt = sample_join(
-        {JoinContext(spark, j_raw): 2000}, method="ew", seed=2, predicate=pred
+        {JoinContext(j_raw): 2000}, method="ew", seed=2, predicate=pred
     )
     assert_uniform(s_push[cols], truth, cols)
     assert_uniform(s_filt[cols], truth, cols)
@@ -53,7 +53,7 @@ def test_predicate_with_eo(spark, data):
         [("x", "bx")],
     )
     s = sample_join(
-        {JoinContext(spark, j_raw): 100},
+        {JoinContext(j_raw): 100},
         method="eo",
         seed=3,
         predicate=lambda pdf: pdf["size"] > 40,

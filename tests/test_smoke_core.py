@@ -7,7 +7,8 @@ from repro.core.join_sampler import JoinContext, sample_join
 from repro.core.join_spec import Relation, chain
 from repro.core.membership import min_join_index
 from repro.core.olken import olken_bound
-from repro.core.walker import WalkRequest, ht_estimate, run_walks
+from repro.core.randomwalk_union import RWState
+from repro.core.walker import WalkRequest, run_walks
 from repro.core.weights import exact_size, weighted_join
 
 
@@ -38,7 +39,7 @@ def test_olken_bound_sound(spark, tiny):
 def test_walker_ew_uniform(spark, tiny):
     wj = weighted_join(tiny)
     request = WalkRequest(wj, 600, "ew", exact_size(tiny))
-    res = run_walks(spark, [request], seed=1).results[0]
+    res = run_walks([request], seed=1).results[0]
     assert res.n_failed == 0
     counts = res.pdf.groupby(["a", "x", "y"]).size()
     assert len(counts) == 6  # all 6 join results reachable
@@ -46,13 +47,13 @@ def test_walker_ew_uniform(spark, tiny):
 
 
 def test_walker_uniform_ht(spark, tiny):
-    res = run_walks(spark, [WalkRequest(tiny, 800, "uniform")], seed=2).results[0]
-    est = ht_estimate(res)
+    res = run_walks([WalkRequest(tiny, 800, "uniform")], seed=2).results[0]
+    est = RWState(pools={"j1": res.pdf}, n_failed={"j1": res.n_failed}).ht_size("j1")
     assert est == pytest.approx(exact_size(tiny), rel=0.3)
 
 
 def test_sample_join_eo(spark, tiny):
-    ctx = JoinContext(spark, tiny)
+    ctx = JoinContext(tiny)
     s = sample_join({ctx: 50}, method="eo", seed=3)
     assert len(s) == 50
 

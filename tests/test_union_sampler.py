@@ -11,6 +11,7 @@ from repro.core.exact import union_tuples
 from repro.core.histogram_union import build_estimate
 from repro.core.join_sampler import UnionContext
 from repro.core.join_spec import Relation, chain
+from repro.core.membership import MembershipIndex
 from repro.core.union_sampler import (
     disjoint_union_sample,
     set_union_sample,
@@ -173,8 +174,8 @@ _groups = itertools.count()
 
 
 def test_one_walk_job_per_round(spark, uctx, exact_est):
-    """All joins of a round walk in one Spark job: with the plans and the
-    membership index built, a call starts at most one job per round."""
+    """No Spark on the sampling path: once the joins' walk plans are built,
+    walks, membership probes and a fresh membership index start no job."""
     for name in uctx.names:
         uctx.ctx(name).plan
     uctx.membership
@@ -183,11 +184,13 @@ def test_one_walk_job_per_round(spark, uctx, exact_est):
         lambda: set_union_sample(uctx, 200, warmup=exact_est, sampler="eo", seed=19),
     )
     assert len(res.samples) == 200
-    assert 1 <= res.rounds and jobs <= res.rounds
+    assert 1 <= res.rounds and jobs == 0
     _, jobs = _count_jobs(
         spark, lambda: randomwalk_warmup(uctx, batch=200, max_samples=600, seed=20)
     )
-    assert jobs <= 3
+    assert jobs == 0
+    _, jobs = _count_jobs(spark, lambda: MembershipIndex(uctx.joins))
+    assert jobs == 0
 
 
 @pytest.mark.parametrize("empty_size", [0.0, 50.0])

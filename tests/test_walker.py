@@ -4,14 +4,8 @@ import pandas as pd
 import pytest
 
 from repro.core.join_spec import Relation, chain
-from repro.core.walker import (
-    DPROD,
-    P,
-    WalkRequest,
-    ht_estimate,
-    ht_running_stats,
-    run_walks,
-)
+from repro.core.randomwalk_union import RWState
+from repro.core.walker import DPROD, P, WalkRequest, _walk_plan, run_walks
 from repro.core.weights import exact_size, weighted_join
 from statutil import assert_uniform
 
@@ -44,20 +38,20 @@ def test_exact_size(abc, abc_full):
 
 def test_ew_walks_uniform(spark, abc, abc_full):
     wj = weighted_join(abc)
-    res = run_walks(spark, [WalkRequest(wj, 4000, "ew")], seed=7).results[0]
+    res = run_walks([WalkRequest(wj, 4000, "ew")], seed=7).results[0]
     assert res.n_failed == 0
     assert_uniform(res.pdf, abc_full, abc.value_cols)
 
 
 def test_ew_p_is_inverse_size(spark, abc):
     wj = weighted_join(abc)
-    res = run_walks(spark, [WalkRequest(wj, 50, "ew")], seed=1).results[0]
+    res = run_walks([WalkRequest(wj, 50, "ew")], seed=1).results[0]
     assert np.allclose(res.pdf[P], 1.0 / exact_size(abc))
 
 
 def test_uniform_walk_p_matches_frequency(spark, abc):
     """Empirical frequency of each completed walk ≈ its recorded p(t)."""
-    res = run_walks(spark, [WalkRequest(abc, 20000, "uniform")], seed=3).results[0]
+    res = run_walks([WalkRequest(abc, 20000, "uniform")], seed=3).results[0]
     pdf = res.pdf
     grp = pdf.groupby(abc.value_cols, as_index=False).agg(
         n=("__p", "size"), p=("__p", "first")
@@ -70,81 +64,47 @@ def test_uniform_walks_never_dead_end(spark, abc):
     """The plan's full (Yannakakis) reduction removes the non-joinable
     tuples (x=3; bx=9/y=7), so walks cannot dead-end — the paper's
     'zero the weights of non-joinable tuples' fix."""
-    from repro.core.walker import _walk_plan
-
-    plan = _walk_plan(spark, abc)
-    assert len(plan["root"]) < abc.root.relation.df.count()  # x=3 removed
-    res = run_walks(spark, [WalkRequest(abc, 3000, "uniform")], seed=5).results[0]
+    plan = _walk_plan(abc)
+    assert len(plan.root) < abc.root.relation.df.count()  # x=3 removed
+    res = run_walks([WalkRequest(abc, 3000, "uniform")], seed=5).results[0]
     assert res.n_failed == 0
     assert len(res.pdf) == 3000
 
 
 def test_ht_estimate_converges(spark, abc):
-    res = run_walks(spark, [WalkRequest(abc, 20000, "uniform")], seed=11).results[0]
-    assert ht_estimate(res) == pytest.approx(exact_size(abc), rel=0.1)
+    res = run_walks([WalkRequest(abc, 20000, "uniform")], seed=11).results[0]
+    state = RWState(pools={"abc": res.pdf}, n_failed={"abc": res.n_failed})
+    assert state.ht_size("abc") == pytest.approx(exact_size(abc), rel=0.1)
 
 
 def test_dprod_tracked(spark, abc):
-    from repro.core.walker import _walk_plan
-
-    res = run_walks(spark, [WalkRequest(abc, 200, "uniform")], seed=2).results[0]
+    res = run_walks([WalkRequest(abc, 200, "uniform")], seed=2).results[0]
     # p = (1 / |reduced root|) / dprod
-    n_root = len(_walk_plan(spark, abc)["root"])
+    n_root = len(_walk_plan(abc).root)
     assert np.allclose(res.pdf[P] * res.pdf[DPROD], 1.0 / n_root)
 
 
 def test_walks_deterministic_in_seed(spark, abc):
     wj = weighted_join(abc)
-    r1 = run_walks(spark, [WalkRequest(wj, 100, "ew")], seed=42).results[0]
-    r2 = run_walks(spark, [WalkRequest(wj, 100, "ew")], seed=42).results[0]
+    r1 = run_walks([WalkRequest(wj, 100, "ew")], seed=42).results[0]
+    r2 = run_walks([WalkRequest(wj, 100, "ew")], seed=42).results[0]
     pd.testing.assert_frame_equal(
         r1.pdf.sort_values(abc.value_cols).reset_index(drop=True),
         r2.pdf.sort_values(abc.value_cols).reset_index(drop=True),
     )
 
 
-def test_hash_specs_appended(spark, abc):
-    wj = weighted_join(abc)
-    res = run_walks(
-        spark, [WalkRequest(wj, 20, "ew")], seed=0, hash_specs={("x", "pa"): "__h0"}
-    ).results[0]
-    assert "__h0" in res.pdf.columns
-    assert res.pdf["__h0"].dtype == np.int64
-
-
 def test_ht_running_stats():
-    inv = np.array([10.0, 10.0, 10.0, 10.0])
-    mean, var = ht_running_stats(inv, 8)  # 4 failures
-    assert mean == pytest.approx(5.0)
-    assert var > 0
-    assert ht_running_stats(np.zeros(0), 0) == (0.0, 0.0)
+    pool = pd.DataFrame({P: np.full(4, 1 / 10.0)})  # 1/p = 10 each
+    state = RWState(pools={"j": pool, "none": pd.DataFrame()}, n_failed={"j": 4, "none": 0})
+    assert state.ht_size("j") == pytest.approx(5.0)  # 4 failures
+    assert state.ht_var("j") > 0
+    assert (state.ht_size("none"), state.ht_var("none")) == (0.0, 0.0)
 
 
 def test_empty_root(spark):
     a = Relation("a", spark.createDataFrame(pd.DataFrame({"x": [1]})).filter("x > 5"))
     b = Relation("b", spark.createDataFrame(pd.DataFrame({"bx": [1], "z": [2]})))
     j = chain("empty", [a, b], [("x", "bx")])
-    res = run_walks(spark, [WalkRequest(j, 10, "uniform")], seed=0).results[0]
+    res = run_walks([WalkRequest(j, 10, "uniform")], seed=0).results[0]
     assert res.n_failed == 10 and len(res.pdf) == 0
-
-
-def test_walks_deterministic_across_arrow_batches(spark, abc):
-    """Each join's output depends on the seed alone, not on how the seed
-    frame is cut into Arrow batches: at 7 rows a batch, one join's walks
-    in one partition span many batches."""
-    requests = [
-        WalkRequest(abc, 700, "uniform"),
-        WalkRequest(weighted_join(abc), 600, "ew"),
-    ]
-    specs = {("x", "pa"): "__h0"}
-    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
-    old = spark.conf.get(key)
-    try:
-        base = run_walks(spark, requests, seed=9, hash_specs=specs)
-        spark.conf.set(key, "7")
-        split = run_walks(spark, requests, seed=9, hash_specs=specs)
-    finally:
-        spark.conf.set(key, old)
-    for a, b in zip(base.results, split.results):
-        assert len(a.pdf) > 0
-        pd.testing.assert_frame_equal(a.pdf, b.pdf)
