@@ -22,8 +22,7 @@ from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
 from .join_spec import Join, Relation
-from .walker import WalkRequest, run_walks
-from .weights import exact_size
+from .walker import WalkRequest, _walk_plan, run_walks
 
 
 @dataclass
@@ -47,18 +46,18 @@ class CyclicJoin:
         return out
 
     def residual_max_degree(self) -> int:
-        """M(S_R): max multiplicity of the residual on the link columns."""
-        row = (
-            self.residual.df.groupBy(*self.link_cols)
-            .agg(F.count(F.lit(1)).alias("d"))
-            .agg(F.max("d").alias("m"))
-            .collect()[0]
-        )
-        return int(row["m"] or 0)
+        """M(S_R): max multiplicity of the residual on the link columns
+        (nulls group together, as in SQL ``GROUP BY``)."""
+        pdf = self.residual.pdf
+        if not len(pdf):
+            return 0
+        return int(pdf.groupby(self.link_cols, dropna=False).size().max())
 
     def size_bound(self) -> int:
-        """|J| ≤ |J_skeleton| · M(S_R) — the cyclic Olken-style bound."""
-        return exact_size(self.skeleton) * self.residual_max_degree()
+        """|J| ≤ |J_skeleton| · M(S_R) — the cyclic Olken-style bound, with
+        the skeleton's exact size from its walk plan."""
+        skeleton_size = int(round(_walk_plan(self.skeleton).total_weight))
+        return skeleton_size * self.residual_max_degree()
 
     def full_df(self, distinct: bool = True) -> DataFrame:
         df = self.skeleton.full_df(distinct=False).join(

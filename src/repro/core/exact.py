@@ -18,6 +18,8 @@ from pyspark.sql import functions as F
 from .join_spec import Join
 from .koverlap import exact_stats_from_atoms, overlap_fn_from_atoms
 
+MAX_JOINS = 62  # membership masks are bits of a signed 64-bit long
+
 
 @dataclass
 class ExactUnion:
@@ -56,25 +58,29 @@ class ExactUnion:
 def full_join_union(spark: SparkSession, joins: list[Join]) -> ExactUnion:
     """Materialize all joins and compute atom counts.
 
-    Each join's distinct result is tagged with its index; the union is
-    grouped by the full tuple value with a ``collect_set`` of tags, then by
-    the tag-set itself, yielding one small row per membership combination.
+    Each join's result is tagged with its bit ``1 << i``; the union is
+    grouped by the full tuple value with a ``bit_or`` of the tags (the
+    tuple's membership mask, which also removes duplicates), then by the
+    mask itself, yielding one small row per membership combination.
     """
+    if len(joins) > MAX_JOINS:
+        raise ValueError(f"FullJoinUnion supports up to {MAX_JOINS} joins")
     names = [j.name for j in joins]
     tagged = None
     for i, join in enumerate(joins):
-        df = join.full_df(distinct=True).withColumn("__jid", F.lit(i))
+        df = join.full_df(distinct=False).withColumn("__bit", F.lit(1 << i).cast("long"))
         tagged = df if tagged is None else tagged.unionByName(df)
     value_cols = joins[0].value_cols
     combos = (
         tagged.groupBy(*value_cols)
-        .agg(F.sort_array(F.collect_set("__jid")).alias("__mem"))
-        .groupBy("__mem")
+        .agg(F.bit_or("__bit").alias("__mask"))
+        .groupBy("__mask")
         .agg(F.count(F.lit(1)).alias("__cnt"))
         .collect()
     )
     atoms = {
-        frozenset(names[i] for i in row["__mem"]): int(row["__cnt"]) for row in combos
+        frozenset(n for i, n in enumerate(names) if row["__mask"] >> i & 1): int(row["__cnt"])
+        for row in combos
     }
     return ExactUnion(names=names, atoms=atoms)
 

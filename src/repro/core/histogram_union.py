@@ -8,9 +8,11 @@ Overlap of a set Δ of aligned chain joins is bounded stage-by-stage:
 
 Joins of unequal shape are first aligned by the splitting method
 (:mod:`repro.splitting`), which yields the same ``ChainStatsView``
-interface consumed here. Everything is DataFrame aggregations over base
-relations — no join is materialized (the "decentralized / data market"
-setting of the paper).
+interface consumed here. Every statistic is read from the per-column
+degree histograms of the base relations (:mod:`repro.core.stats`), built
+once per relation on the driver — no join is materialized and no Spark
+job runs (the paper's "decentralized / data market" setting, with the
+histograms a DBMS keeps).
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ from itertools import combinations
 from typing import Callable
 
 import pandas as pd
-from pyspark.sql import DataFrame
 
 from .join_sampler import UnionContext
 from .join_spec import Join
@@ -31,26 +32,25 @@ from .stats import avg_degree, max_degree, pair_degree_product, self_degree
 class ChainStatsView:
     """Per-join statistics provider for Theorem 4's stage recursion.
 
-    ``first_pair`` returns DataFrame[v, pairs] — the per-value count of
-    joinable (t1, t2) pairs of the first two stage relations; ``ms[i]``
-    returns the stage-(i+2) multiplier M_{j,i} (max or avg degree; 1 for
-    fake joins). Values are computed lazily and cached: the warm-up
-    evaluates every Δ in the powerset and reuses per-join statistics. The
-    pair histogram is a Spark aggregation collected once; the Σ-min over
-    the powerset happens driver-side (histograms are column-sized).
+    ``first_pair`` returns ``pairs`` indexed by value v — the per-value
+    count of joinable (t1, t2) pairs of the first two stage relations;
+    ``ms[i]`` returns the stage-(i+2) multiplier M_{j,i} (max or avg
+    degree; 1 for fake joins). Values are computed lazily and cached: the
+    warm-up evaluates every Δ in the powerset and reuses per-join
+    statistics, and the Σ-min over the powerset aligns the column-sized
+    histograms.
     """
 
     name: str
-    first_pair: Callable[[], DataFrame]
+    first_pair: Callable[[], pd.Series]
     ms: list[Callable[[], float]]
     _pair_cache: "pd.Series | None" = field(default=None, repr=False)
     _m_cache: dict[int, float] = field(default_factory=dict, repr=False)
 
     def pair_series(self) -> "pd.Series":
-        """pairs indexed by value v (pandas, collected once)."""
+        """pairs indexed by value v, as floats (computed once)."""
         if self._pair_cache is None:
-            pdf = self.first_pair().toPandas()
-            self._pair_cache = pdf.set_index("v")["pairs"].astype(float)
+            self._pair_cache = self.first_pair().astype(float)
         return self._pair_cache
 
     def m(self, i: int) -> float:
@@ -69,17 +69,17 @@ def chain_view(join: Join, *, refine: str = "max") -> ChainStatsView:
     rels, edges = join.as_chain()
     e0 = edges[0]
     if e0.fake:
-        first = lambda: self_degree(rels[0].df, e0.parent_col)  # noqa: E731
+        first = lambda: self_degree(rels[0], e0.parent_col)  # noqa: E731
     else:
         first = lambda: pair_degree_product(  # noqa: E731
-            rels[0].df, e0.parent_col, rels[1].df, e0.child_col
+            rels[0], e0.parent_col, rels[1], e0.child_col
         )
     deg = max_degree if refine == "max" else avg_degree
 
     def make_m(edge, rel):
         if edge.fake:
             return lambda: 1.0
-        return lambda: float(deg(rel.df, edge.child_col))
+        return lambda: float(deg(rel, edge.child_col))
 
     ms = [make_m(e, rels[i + 2]) for i, e in enumerate(edges[1:])]
     return ChainStatsView(join.name, first, ms)

@@ -47,6 +47,18 @@ class Relation:
         several joins is collected once)."""
         return self.df.toPandas()
 
+    @cached_property
+    def _degrees(self) -> dict[str, pd.Series]:
+        return {}
+
+    def degrees(self, col: str) -> pd.Series:
+        """Per-value degree histogram of ``col`` (value → row count), built
+        once from :attr:`pdf`: the §5 statistics a DBMS keeps per column.
+        A null is one group of its own, as in a SQL ``GROUP BY``."""
+        if col not in self._degrees:
+            self._degrees[col] = self.pdf[col].value_counts(dropna=False, sort=False)
+        return self._degrees[col]
+
 
 @dataclass
 class Edge:

@@ -58,10 +58,13 @@ class MembershipIndex:
 
     def matrix(self, candidates: pd.DataFrame) -> np.ndarray:
         """Boolean matrix m[i, j] = candidates.iloc[i] ∈ joins[j]."""
-        found = {
-            rel: rows.get_indexer(pd.MultiIndex.from_frame(candidates[rel.cols])) >= 0
-            for rel, rows in self.rows.items()
-        }
+        probes: dict[tuple[str, ...], pd.MultiIndex] = {}  # one per column set
+        found = {}
+        for rel, rows in self.rows.items():
+            cols = tuple(rel.cols)
+            if cols not in probes:
+                probes[cols] = pd.MultiIndex.from_frame(candidates[list(cols)])
+            found[rel] = rows.get_indexer(probes[cols]) >= 0
         m = np.ones((len(candidates), len(self.joins)), dtype=bool)
         for j, join in enumerate(self.joins):
             for a, b in join.condition_pairs():

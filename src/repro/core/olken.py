@@ -20,13 +20,13 @@ from .stats import max_degree
 
 
 def olken_bound(join: Join) -> int:
-    """Upper bound on |join| from the root size and per-edge max degrees."""
-    root_size = join.root.relation.df.count()
-    bound = root_size
+    """Upper bound on |join| from the root size and per-edge max degrees
+    (read from the relations' collected frames and histograms)."""
+    bound = len(join.root.relation.pdf)
     for _, edge in join.edges():
         if edge.fake:
             continue
-        m = max_degree(edge.child.relation.df, edge.child_col)
+        m = max_degree(edge.child.relation, edge.child_col)
         bound *= m
         if m == 0:
             return 0

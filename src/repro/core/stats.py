@@ -1,55 +1,52 @@
-"""Column statistics used by the estimators — DataFrame aggregations only.
+"""Column statistics used by the estimators, read from relation histograms.
 
 These are the "histograms DBMSs already maintain" of §5: per-value degree
-histograms of join attributes, their maxima and averages. Everything is a
-Spark aggregation; nothing materializes a join.
+histograms of join attributes, their maxima and averages. Each histogram
+is built once per relation and column on the driver
+(:meth:`Relation.degrees <repro.core.join_spec.Relation.degrees>`, over the
+collected frame), so no statistic starts a Spark job and nothing
+materializes a join.
+
+Null semantics are SQL's: a null value is one group of its own in a
+histogram (so it counts for the maximum and mean degree), and joins of
+histograms drop it (null joins nothing).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import pandas as pd
+
+from .join_spec import Relation
 
 
-def degree_histogram(df: DataFrame, col: str) -> DataFrame:
-    """Per-value degree of ``col``: DataFrame[col, deg]."""
-    return df.groupBy(col).agg(F.count(F.lit(1)).alias("deg"))
+def max_degree(rel: Relation, col: str) -> int:
+    """Maximum value frequency M_col(rel) (Olken's M); 0 when empty."""
+    h = rel.degrees(col)
+    return int(h.max()) if len(h) else 0
 
 
-def max_degree(df: DataFrame, col: str) -> int:
-    """Maximum value frequency M_col(df) (Olken's M)."""
-    row = degree_histogram(df, col).agg(F.max("deg").alias("m")).collect()[0]
-    return int(row["m"] or 0)
-
-
-def avg_degree(df: DataFrame, col: str) -> float:
+def avg_degree(rel: Relation, col: str) -> float:
     """Average value frequency (used to tighten Theorem 4 when full
-    histograms are available)."""
-    row = degree_histogram(df, col).agg(F.avg("deg").alias("m")).collect()[0]
-    return float(row["m"] or 0.0)
+    histograms are available); 0 when empty."""
+    h = rel.degrees(col)
+    return float(h.mean()) if len(h) else 0.0
 
 
 def pair_degree_product(
-    df1: DataFrame, col1: str, df2: DataFrame, col2: str
-) -> DataFrame:
-    """Per-value count of joinable (t1, t2) pairs: d(v, df1) * d(v, df2).
+    rel1: Relation, col1: str, rel2: Relation, col2: str
+) -> pd.Series:
+    """Per-value count of joinable (t1, t2) pairs: d(v, rel1) * d(v, rel2).
 
-    This is the exact per-value size of df1 ⋈ df2 on col1 = col2, computed
+    This is the exact per-value size of rel1 ⋈ rel2 on col1 = col2, computed
     from the two histograms — the K(1) building block of Theorem 4.
-    Returns DataFrame[v, pairs].
+    Returns ``pairs`` indexed by the joinable values v.
     """
-    h1 = degree_histogram(df1, col1).withColumnRenamed(col1, "v").withColumnRenamed(
-        "deg", "d1"
-    )
-    h2 = degree_histogram(df2, col2).withColumnRenamed(col2, "v").withColumnRenamed(
-        "deg", "d2"
-    )
-    return h1.join(h2, on="v").select("v", (F.col("d1") * F.col("d2")).alias("pairs"))
+    d1, d2 = rel1.degrees(col1).align(rel2.degrees(col2), join="inner")
+    pairs = (d1 * d2).rename_axis("v").rename("pairs")
+    return pairs[pairs.index.notna()]
 
 
-def self_degree(df: DataFrame, col: str) -> DataFrame:
+def self_degree(rel: Relation, col: str) -> pd.Series:
     """Per-value pair count of a *fake* first edge: each row matches only
-    its own split counterpart, so the pair count at value v is d(v, df).
-    Returns DataFrame[v, pairs]."""
-    return degree_histogram(df, col).select(
-        F.col(col).alias("v"), F.col("deg").alias("pairs")
-    )
+    its own split counterpart, so the pair count at value v is d(v, rel).
+    Returns ``pairs`` indexed by v: the degree histogram itself."""
+    return rel.degrees(col).rename_axis("v").rename("pairs")

@@ -27,28 +27,20 @@ and estimators take the minimum.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import numpy as np
+import pandas as pd
 
 from repro.core.histogram_union import ChainStatsView
-from repro.core.join_spec import Join, Node
-from repro.core.stats import avg_degree, degree_histogram, max_degree
+from repro.core.join_spec import Join, Node, Relation
+from repro.core.stats import avg_degree, max_degree, pair_degree_product, self_degree
 
 from .template import best_template
 
 
-def _deg(df: DataFrame, col: str, kind: str) -> float:
-    """Memoized max/avg degree (relations are probed repeatedly across
-    templates and powerset subsets)."""
-    cache = getattr(df, "_repro_deg_cache", None)
-    if cache is None:
-        cache = {}
-        df._repro_deg_cache = cache
-    key = (col, kind)
-    if key not in cache:
-        fn = max_degree if kind == "max" else avg_degree
-        cache[key] = float(fn(df, col))
-    return cache[key]
+def _deg(rel: Relation, col: str, kind: str) -> float:
+    """Max or avg degree of ``col`` (the histogram is built once per
+    relation, so repeated probes across templates and subsets are cheap)."""
+    return float((max_degree if kind == "max" else avg_degree)(rel, col))
 
 
 def _nodes_with(join: Join, attr: str) -> list[Node]:
@@ -107,8 +99,8 @@ def _path_mprod(join: Join, na: Node, nb: Node, refine: str) -> float:
         return 1.0
     parent: dict[int, tuple[Node, float, float]] = {}
     for p, e in join.edges():
-        m_down = 1.0 if e.fake else _deg(e.child.relation.df, e.child_col, refine)
-        m_up = 1.0 if e.fake else _deg(p.relation.df, e.parent_col, refine)
+        m_down = 1.0 if e.fake else _deg(e.child.relation, e.child_col, refine)
+        m_up = 1.0 if e.fake else _deg(p.relation, e.parent_col, refine)
         parent[id(e.child)] = (p, m_down, m_up)
 
     def up(n: Node):
@@ -133,46 +125,32 @@ def _path_mprod(join: Join, na: Node, nb: Node, refine: str) -> float:
     raise RuntimeError("disconnected join tree")
 
 
-def _first_pair_df(join: Join, a1: str, a2: str, refine: str) -> DataFrame:
-    """DataFrame[v, pairs]: per-a1-value bound on distinct (a1, a2)
-    prefixes of the join output."""
+def _first_pair(join: Join, a1: str, a2: str, refine: str) -> pd.Series:
+    """``pairs`` indexed by a1 value v: a bound on the distinct (a1, a2)
+    prefixes of the join output with a1 = v."""
     n1, n2 = join.node_of_attr(a1), join.node_of_attr(a2)
+    r1, r2 = n1.relation, n2.relation
     if n1 is n2:
-        h = degree_histogram(n1.relation.df, a1)
-        return h.select(F.col(a1).alias("v"), F.col("deg").alias("pairs"))
+        return self_degree(r1, a1)
     conds = join.condition_pairs()
     if (a1, a2) in conds or (a2, a1) in conds:
         # a2 is equality-determined by a1: one pair per co-present value
-        h1 = degree_histogram(n1.relation.df, a1).select(
-            F.col(a1).alias("v"), F.col("deg").alias("d1")
-        )
-        h2 = degree_histogram(n2.relation.df, a2).select(
-            F.col(a2).alias("v"), F.col("deg").alias("d2")
-        )
-        return h1.join(h2, on="v").select("v", F.least("d1", "d2").alias("pairs"))
+        d1, d2 = self_degree(r1, a1).align(self_degree(r2, a2), join="inner")
+        least = np.minimum(d1, d2)
+        return least[least.index.notna()]  # null joins nothing
     h2col = None
     for x, y in conds:
-        if x == a1 and y in n2.relation.cols:
+        if x == a1 and y in r2.cols:
             h2col = y
             break
-        if y == a1 and x in n2.relation.cols:
+        if y == a1 and x in r2.cols:
             h2col = x
             break
     if h2col is None:
         # generic fallback: rows of a1's relation × path attachment bound
-        scale = _path_mprod(join, n1, n2, refine)
-        h = degree_histogram(n1.relation.df, a1)
-        return h.select(
-            F.col(a1).alias("v"), (F.col("deg") * F.lit(scale)).alias("pairs")
-        )
+        return self_degree(r1, a1) * _path_mprod(join, n1, n2, refine)
     # §5.1's degree product across the join condition a1 = h2col
-    h1 = degree_histogram(n1.relation.df, a1).select(
-        F.col(a1).alias("v"), F.col("deg").alias("d1")
-    )
-    h2 = degree_histogram(n2.relation.df, h2col).select(
-        F.col(h2col).alias("v"), F.col("deg").alias("d2")
-    )
-    return h1.join(h2, on="v").select("v", (F.col("d1") * F.col("d2")).alias("pairs"))
+    return pair_degree_product(r1, a1, r2, h2col)
 
 
 def _first_pair_charged(join: Join, a1: str, a2: str) -> set[int]:
@@ -222,8 +200,8 @@ def split_view(join: Join, template: list[str], refine: str = "max") -> ChainSta
                 if co:
                     local = min(
                         1.0
-                        if _deg(rel.df, y, "max") <= 1.0
-                        else _deg(rel.df, y, refine)
+                        if _deg(rel, y, "max") <= 1.0
+                        else _deg(rel, y, refine)
                         for y in co
                     )
                     if local < cap:
@@ -241,13 +219,13 @@ def split_view(join: Join, template: list[str], refine: str = "max") -> ChainSta
             if cap == float("inf"):
                 # no structural link yet: charge the relation outright
                 nc = nodes_c[0]
-                cap = float(nc.relation.df.count())
+                cap = float(len(nc.relation.pdf))
                 charge = {id(nc)}
         caps.append(cap)
         counted |= charge
         closure = _closure(join, closure | {c})
 
-    first = lambda: _first_pair_df(join, a1, a2, refine)  # noqa: E731
+    first = lambda: _first_pair(join, a1, a2, refine)  # noqa: E731
     return ChainStatsView(join.name, first, [(lambda v=v: v) for v in caps])
 
 
@@ -263,6 +241,21 @@ def split_views(
     return [split_view(j, template, refine) for j in joins], template
 
 
+def _schema(join: Join) -> tuple:
+    """Everything a template search reads from a join: each node's columns
+    and its edge to its parent, in BFS order."""
+    nodes = join.nodes()
+    index = {id(n): i for i, n in enumerate(nodes)}
+    up = {id(e.child): (index[id(p)], e.parent_col, e.child_col, e.fake) for p, e in join.edges()}
+    return tuple((tuple(n.relation.cols), up.get(id(n))) for n in nodes)
+
+
+# Candidate templates by (zero_weight, join schemas). The search is
+# pure-Python Held–Karp over every output attribute (seconds on UQ3) and
+# reads nothing but schemas, so it runs once per union shape.
+_templates: dict[tuple, list[list[str]]] = {}
+
+
 def candidate_templates(
     joins: list[Join], *, zero_weight: float = 0.0
 ) -> list[list[str]]:
@@ -271,6 +264,13 @@ def candidate_templates(
     key-like attribute first — this is what captures horizontal-split
     overlap structurally). All bounds are sound; the estimator takes the
     minimum."""
+    key = (zero_weight, *map(_schema, joins))
+    if key not in _templates:
+        _templates[key] = _search_templates(joins, zero_weight)
+    return [list(t) for t in _templates[key]]
+
+
+def _search_templates(joins: list[Join], zero_weight: float) -> list[list[str]]:
     cands = [best_template(joins, zero_weight=zero_weight)]
     conds: set[tuple[str, str]] = set()
     for j in joins:

@@ -8,16 +8,18 @@ import pandas as pd
 import pytest
 
 from repro.core.exact import union_tuples
-from repro.core.histogram_union import build_estimate
+from repro.core.histogram_union import auto_histogram_warmup, build_estimate
 from repro.core.join_sampler import UnionContext
 from repro.core.join_spec import Relation, chain
 from repro.core.membership import MembershipIndex
+from repro.core.online_union import online_union_sample
 from repro.core.union_sampler import (
     disjoint_union_sample,
     set_union_sample,
     warmup_params,
 )
 from repro.core.randomwalk_union import randomwalk_warmup
+from repro.workloads import uq3
 from deadline import deadline
 from statutil import assert_not_uniform, assert_uniform
 
@@ -190,6 +192,23 @@ def test_one_walk_job_per_round(spark, uctx, exact_est):
     )
     assert jobs == 0
     _, jobs = _count_jobs(spark, lambda: MembershipIndex(uctx.joins))
+    assert jobs == 0
+
+
+def test_warmups_start_no_job(spark, uctx):
+    """Degree statistics come from the relations' collected frames: once
+    the walk plans are built, a HISTOGRAM-BASED warm-up starts no Spark job
+    on a chain union or on UQ3 (the splitting path), and neither does
+    ONLINE-UNION, which runs one on every call."""
+    w3 = uq3(spark, sf=0.002, overlap=0.2, seed=4)
+    for u in (uctx, w3.uctx):
+        for name in u.names:
+            u.ctx(name).plan
+        for method in ("eo", "ew"):
+            _, jobs = _count_jobs(spark, lambda: auto_histogram_warmup(u, size_method=method))
+            assert jobs == 0, (u.names, method)
+    res, jobs = _count_jobs(spark, lambda: online_union_sample(uctx, 100, reuse=True, seed=23))
+    assert len(res.samples) == 100
     assert jobs == 0
 
 
