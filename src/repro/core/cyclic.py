@@ -11,6 +11,8 @@ Uniform sampling: draw a skeleton tuple exactly uniformly (EW), join it
 with the residual, pick one of its d matches uniformly and accept with
 d / M(S_R), where M(S_R) is the residual's maximum degree on the link
 columns — every full result then has probability 1/(|J_skel| · M(S_R)).
+Both the walks and the residual join run on the driver, over the
+relations' collected frames.
 """
 from __future__ import annotations
 
@@ -18,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
-from .join_spec import Join, Relation
+from .join_spec import Join, Relation, inner_join
 from .walker import WalkRequest, _walk_plan, run_walks
 
 
@@ -59,12 +60,11 @@ class CyclicJoin:
         skeleton_size = int(round(_walk_plan(self.skeleton).total_weight))
         return skeleton_size * self.residual_max_degree()
 
-    def full_df(self, distinct: bool = True) -> DataFrame:
-        df = self.skeleton.full_df(distinct=False).join(
-            self.residual.df, on=self.link_cols, how="inner"
-        )
-        df = df.select(*self.value_cols)
-        return df.dropDuplicates() if distinct else df
+    def full_pdf(self) -> pd.DataFrame:
+        """The full cyclic join result, distinct, built on the driver."""
+        residual = self.residual.pdf[self.residual.cols]
+        df = inner_join(self.skeleton.full_pdf(), residual, self.link_cols, self.link_cols)
+        return df[self.value_cols].drop_duplicates(ignore_index=True)
 
 
 def sample_cyclic(
@@ -73,32 +73,25 @@ def sample_cyclic(
     """Exactly ``n`` i.i.d. uniform tuples from the cyclic join result."""
     rng = np.random.default_rng(seed)
     m = cj.residual_max_degree()
+    residual = cj.residual.pdf[cj.residual.cols]
     out: list[pd.DataFrame] = []
     got = 0
     while got < n:
         batch = max(int((n - got) * 2.0) + 8, 16)
         request = WalkRequest(cj.skeleton, batch, "ew")
         (res,) = run_walks([request], seed=int(rng.integers(2**31))).results
-        pdf = res.pdf.drop(columns=["__p"])
-        pdf["__walk"] = np.arange(len(pdf))
-        cand = spark.createDataFrame(pdf).join(
-            cj.residual.df, on=cj.link_cols, how="inner"
-        )
-        wpart = Window.partitionBy("__walk")
-        cand = cand.withColumn("__u", F.rand(seed=int(rng.integers(2**31))))
-        cand = cand.withColumn("__d", F.count(F.lit(1)).over(wpart))
-        cand = cand.withColumn("__rn", F.row_number().over(wpart.orderBy("__u")))
-        picked = (
-            cand.filter(F.col("__rn") == 1)
-            .select(*cj.value_cols, "__d")
-            .toPandas()
-        )
-        if len(picked):
-            keep = rng.random(len(picked)) < picked["__d"].to_numpy(dtype=float) / m
-            picked = picked[keep].drop(columns=["__d"])
-            if len(picked):
-                out.append(picked)
-                got += len(picked)
+        walks = res.pdf.drop(columns=["__p"])
+        walks["__walk"] = np.arange(len(walks))
+        cand = inner_join(walks, residual, cj.link_cols, cj.link_cols)
+        cand = cand.sort_values("__walk", kind="stable", ignore_index=True)
+        # each walk's d matches are one run of rows: pick one uniformly
+        first = np.flatnonzero(np.diff(cand["__walk"].to_numpy(), prepend=-1))
+        d = np.diff(np.r_[first, len(cand)])
+        picked = cand.iloc[first + (rng.random(len(d)) * d).astype(np.int64)]
+        keep = rng.random(len(d)) < d / m
+        if keep.any():
+            out.append(picked[keep][cj.value_cols])
+            got += int(keep.sum())
     return pd.concat(out, ignore_index=True).head(n).reset_index(drop=True)
 
 

@@ -1,9 +1,11 @@
 """FullJoinUnion ground truth (the paper's expensive baseline, Fig 4c/d).
 
-Materializes every join, unions them, and derives — in ONE Spark pass over
-the unioned result — the *atom counts*: for each distinct output tuple, the
-exact set of joins containing it. All exact sizes, overlaps |O_Δ|,
-k-overlaps A_j^k, |U| and cover sizes follow from the atoms by counting.
+Materializes every join on the driver from its collected relations
+(:meth:`Join.full_pdf <repro.core.join_spec.Join.full_pdf>`, no Spark job),
+unions them, and derives in one grouping pass the *atom counts*: for each
+distinct output tuple, the exact set of joins containing it. All exact
+sizes, overlaps |O_Δ|, k-overlaps A_j^k, |U| and cover sizes follow from
+the atoms by counting.
 
 This is the only module allowed to materialize joins; estimators and
 samplers never call it.
@@ -12,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from .join_spec import Join
 from .koverlap import exact_stats_from_atoms, overlap_fn_from_atoms
 
 MAX_JOINS = 62  # membership masks are bits of a signed 64-bit long
+BIT = "__bit"
 
 
 @dataclass
@@ -58,37 +61,28 @@ class ExactUnion:
 def full_join_union(spark: SparkSession, joins: list[Join]) -> ExactUnion:
     """Materialize all joins and compute atom counts.
 
-    Each join's result is tagged with its bit ``1 << i``; the union is
-    grouped by the full tuple value with a ``bit_or`` of the tags (the
-    tuple's membership mask, which also removes duplicates), then by the
-    mask itself, yielding one small row per membership combination.
+    Each join's distinct result is tagged with its bit ``1 << i``; the
+    union is grouped by the full tuple value (nulls group together, as in
+    ``GROUP BY``) with the sum of the tags — the tuple's membership mask —
+    and the masks are counted, one count per membership combination.
     """
     if len(joins) > MAX_JOINS:
         raise ValueError(f"FullJoinUnion supports up to {MAX_JOINS} joins")
     names = [j.name for j in joins]
-    tagged = None
-    for i, join in enumerate(joins):
-        df = join.full_df(distinct=False).withColumn("__bit", F.lit(1 << i).cast("long"))
-        tagged = df if tagged is None else tagged.unionByName(df)
     value_cols = joins[0].value_cols
-    combos = (
-        tagged.groupBy(*value_cols)
-        .agg(F.bit_or("__bit").alias("__mask"))
-        .groupBy("__mask")
-        .agg(F.count(F.lit(1)).alias("__cnt"))
-        .collect()
+    tagged = pd.concat(
+        [j.full_pdf()[value_cols].assign(**{BIT: 1 << i}) for i, j in enumerate(joins)],
+        ignore_index=True,
     )
+    masks = tagged.groupby(value_cols, dropna=False, sort=False)[BIT].sum()
     atoms = {
-        frozenset(n for i, n in enumerate(names) if row["__mask"] >> i & 1): int(row["__cnt"])
-        for row in combos
+        frozenset(n for i, n in enumerate(names) if mask >> i & 1): int(cnt)
+        for mask, cnt in masks.value_counts().items()
     }
     return ExactUnion(names=names, atoms=atoms)
 
 
-def union_tuples(spark: SparkSession, joins: list[Join]):
+def union_tuples(spark: SparkSession, joins: list[Join]) -> pd.DataFrame:
     """The distinct set-union result itself (for sampler uniformity tests)."""
-    out = None
-    for join in joins:
-        df = join.full_df(distinct=True)
-        out = df if out is None else out.unionByName(df)
-    return out.dropDuplicates()
+    union = pd.concat([j.full_pdf() for j in joins], ignore_index=True)
+    return union.drop_duplicates(ignore_index=True)

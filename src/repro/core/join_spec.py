@@ -147,17 +147,22 @@ class Join:
         return rels, edges
 
     # ---- composition ---------------------------------------------------
-    def full_df(self, distinct: bool = True) -> DataFrame:
-        """Materialize the full join (ground truth / baseline only).
+    def full_pdf(self) -> pd.DataFrame:
+        """The full join result, distinct, materialized on the driver from
+        the collected relations (ground truth / baseline only).
 
         The sampling path never calls this; it exists for the
-        FullJoinUnion baseline and the correctness oracle.
+        FullJoinUnion baseline and the correctness oracle. A hidden column
+        is carried only while a later edge still joins on it.
         """
-        df = self.root.relation.df
-        for parent, edge in self.edges():
-            df = compose_edge(df, edge)
-        df = df.select(*self.value_cols)
-        return df.dropDuplicates() if distinct else df
+        edges = self.edges()
+        later = {e.parent_col for _, e in edges}
+        df = _keep_hidden(self.root.relation.pdf, later)
+        for i, (_, e) in enumerate(edges):
+            later = {e2.parent_col for _, e2 in edges[i + 1 :]}
+            child = _keep_hidden(e.child.relation.pdf, later | {e.child_col})
+            df = _keep_hidden(inner_join(df, child, [e.parent_col], [e.child_col]), later)
+        return df[self.value_cols].drop_duplicates(ignore_index=True)
 
     # ---- attribute lookup (used by the splitting method) ----------------
     def node_of_attr(self, col: str) -> Node:
@@ -209,14 +214,23 @@ class Join:
                 seen.setdefault(c, r.name)
 
 
-def compose_edge(df: DataFrame, edge: Edge) -> DataFrame:
-    """Join an accumulated DataFrame with ``edge.child`` (inner join)."""
-    child_df = edge.child.relation.df
-    if edge.parent_col == edge.child_col:
-        return df.join(child_df, on=edge.parent_col, how="inner")
-    return df.join(
-        child_df, on=df[edge.parent_col] == child_df[edge.child_col], how="inner"
-    )
+def inner_join(
+    left: pd.DataFrame, right: pd.DataFrame, left_on: list[str], right_on: list[str]
+) -> pd.DataFrame:
+    """SQL inner equi-join of two frames: a row with a null key matches
+    nothing (``pd.merge`` alone would match NaN with NaN). Keys of the same
+    name are kept once (USING semantics), otherwise both are kept."""
+    left = left.dropna(subset=left_on)
+    right = right.dropna(subset=right_on)
+    if left_on == right_on:
+        return left.merge(right, on=left_on)
+    return left.merge(right, left_on=left_on, right_on=right_on)
+
+
+def _keep_hidden(pdf: pd.DataFrame, keys: set[str]) -> pd.DataFrame:
+    """``pdf`` without the hidden columns that are not in ``keys``."""
+    drop = [c for c in pdf.columns if c.startswith("__") and c not in keys]
+    return pdf.drop(columns=drop) if drop else pdf
 
 
 def chain(

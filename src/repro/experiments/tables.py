@@ -114,13 +114,18 @@ def t2_union_size_runtime(
     overlaps: tuple = (0.1, 0.2, 0.4, 0.8),
     workloads: tuple = ("uq1", "uq3"),
 ) -> list[dict]:
+    """Both methods read the relations' collected frames, so every relation
+    is collected before either is timed (``collect_seconds``); each
+    workload's cached frames are released once its row is done."""
     rows = []
     for wname in workloads:
         for ov in overlaps:
             w = build(spark, wname, sf=sf, overlap=ov)
-            for j in w.joins:  # materialize input caches fairly for both
-                for r in j.relations():
-                    r.df.count()
+            rels = list({id(r): r for j in w.joins for r in j.relations()}.values())
+            t0 = time.perf_counter()
+            for r in rels:
+                r.pdf
+            t_collect = time.perf_counter() - t0
             t0 = time.perf_counter()
             est = _hist_estimate(w)
             t_hist = time.perf_counter() - t0
@@ -131,12 +136,15 @@ def t2_union_size_runtime(
                 {
                     "workload": wname,
                     "overlap": ov,
+                    "collect_seconds": t_collect,
                     "hist_seconds": t_hist,
                     "fulljoin_seconds": t_full,
                     "hist_union_est": est.union,
                     "true_union": ex.union,
                 }
             )
+            for r in rels:
+                r.df.unpersist()
     return rows
 
 

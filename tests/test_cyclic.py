@@ -37,7 +37,7 @@ def test_link_cols(triangle):
 
 def test_full_df_matches_duckdb(spark, triangle):
     cj, truth = triangle
-    got = cj.full_df().toPandas().sort_values(["a", "b", "c"]).reset_index(drop=True)
+    got = cj.full_pdf().sort_values(["a", "b", "c"]).reset_index(drop=True)
     want = truth.sort_values(["a", "b", "c"]).reset_index(drop=True)[got.columns.tolist()]
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 

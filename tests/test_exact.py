@@ -1,9 +1,11 @@
-"""FullJoinUnion ground truth vs pandas brute force."""
+"""FullJoinUnion ground truth vs pandas brute force and DuckDB."""
+import duckdb
 import pandas as pd
 import pytest
 
 from repro.core.exact import full_join_union, union_tuples
 from repro.core.join_spec import Relation, chain
+from repro.workloads import uq3
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +53,7 @@ def test_sizes_and_union(spark, joins):
     for f in full:
         u |= set(map(tuple, f[["x", "pa", "bx", "pb"]].itertuples(index=False)))
     assert ex.union == len(u)
-    assert union_tuples(spark, js).count() == len(u)
+    assert len(union_tuples(spark, js)) == len(u)
 
 
 def test_overlap_queries(spark, joins):
@@ -80,3 +82,78 @@ def test_stats_consistent_with_koverlap(spark, joins):
 
     a = k_overlaps(ex.names, ex.overlap_fn)
     assert union_size(ex.names, a) == pytest.approx(ex.union)
+
+
+def duckdb_atoms(joins) -> dict:
+    """The union's atoms computed by DuckDB, with SQL read off each join
+    tree, over the relations' collected frames."""
+    con = duckdb.connect()
+    tables: dict[int, str] = {}
+
+    def table(rel):
+        if id(rel) not in tables:
+            tables[id(rel)] = f"r{len(tables)}"
+            con.register(tables[id(rel)], rel.pdf)
+        return tables[id(rel)]
+
+    cols = joins[0].value_cols
+    parts = []
+    for i, j in enumerate(joins):
+        alias = {id(n): f"t{k}" for k, n in enumerate(j.nodes())}
+        owner: dict[str, str] = {}
+        for n in j.nodes():
+            for c in n.relation.cols:
+                owner.setdefault(c, alias[id(n)])
+        select = ", ".join(f'{owner[c]}."{c}" AS "{c}"' for c in cols)
+        tabs = ", ".join(f"{table(n.relation)} {alias[id(n)]}" for n in j.nodes())
+        conds = " AND ".join(
+            f'{alias[id(p)]}."{e.parent_col}" = {alias[id(e.child)]}."{e.child_col}"'
+            for p, e in j.edges()
+        )
+        parts.append(f"SELECT DISTINCT {select}, {1 << i} AS bit FROM {tabs} WHERE {conds}")
+    collist = ", ".join(f'"{c}"' for c in cols)
+    try:
+        rows = con.execute(
+            f"SELECT mask, count(*) FROM (SELECT sum(bit) AS mask FROM "
+            f"({' UNION ALL '.join(parts)}) GROUP BY {collist}) GROUP BY mask"
+        ).fetchall()
+    finally:
+        con.close()
+    names = [j.name for j in joins]
+    return {frozenset(n for i, n in enumerate(names) if int(m) >> i & 1): c for m, c in rows}
+
+
+def _rel(spark, name, **cols):
+    return Relation(name, spark.createDataFrame(pd.DataFrame(cols)))
+
+
+def _ints(*vals):
+    return pd.array(vals, dtype="Int64")
+
+
+@pytest.mark.parametrize("using", [False, True])
+def test_null_join_keys_match_duckdb(spark, using):
+    """A null join key matches nothing, on a different-name edge and on a
+    USING edge alike; null payloads group together across joins."""
+    key = "x" if using else "bx"
+    b = _rel(spark, "b", **{key: _ints(1, None, 2, 3), "pb": ["p", "q", None, None]})
+    joins = []
+    for i, (lo, hi) in enumerate([(0, 4), (1, 6)]):
+        xs, pas = _ints(1, None, 2, None, 3, 1)[lo:hi], _ints(0, 1, None, 3, None, 5)[lo:hi]
+        a = _rel(spark, "a", x=xs, pa=pas)
+        joins.append(chain(f"n{i}", [a, b], [("x", key)]))
+    ex = full_join_union(spark, joins)
+    assert ex.atoms == duckdb_atoms(joins)
+    # (2, null, 2, null) is in both joins: one tuple, whose nulls group
+    n0, n1 = (j.name for j in joins)
+    assert ex.atoms == {frozenset([n0]): 1, frozenset([n0, n1]): 1, frozenset([n1]): 2}
+    assert len(union_tuples(spark, joins)) == ex.union
+
+
+def test_uq3_atoms_match_duckdb(spark):
+    """Split relations, the USING rejoin of the vertical split and the m:n
+    nationkey edge: FullJoinUnion's atoms equal DuckDB's."""
+    w = uq3(spark, sf=0.002, overlap=0.2, seed=3)
+    ex = full_join_union(spark, w.joins)
+    assert ex.atoms == duckdb_atoms(w.joins)
+    assert len(ex.atoms) > 1

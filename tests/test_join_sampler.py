@@ -105,7 +105,7 @@ def test_olken_plan_matches_spark_reference(ctx):
 
 def test_reduction_preserves_join(spark, skewed, ctx):
     join, full = skewed
-    got = ctx.reduced.full_df().toPandas()
+    got = ctx.reduced.full_pdf()
     a = got.sort_values(join.value_cols).reset_index(drop=True)[join.value_cols]
     b = (
         full.drop_duplicates()

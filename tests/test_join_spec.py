@@ -43,7 +43,7 @@ def test_condition_pairs_excludes_using(spark, rels):
     ju = chain("ju", [d1, d2], [("k", "k")])
     assert ju.condition_pairs() == []
     assert ju.value_cols == ["k", "u", "v"]
-    assert ju.full_df().count() == 1
+    assert len(ju.full_pdf()) == 1
 
 
 def test_collision_detection(spark):
@@ -71,8 +71,8 @@ def test_tree_full_df_equals_chain_full_df(spark, rels):
     jc = chain("jc", [a, b, c], [("x", "bx"), ("y", "cy")])
     jr = reroot(jc, "b")
     assert jr.root.relation.name == "b"
-    got = jr.full_df().toPandas().sort_values(jc.value_cols).reset_index(drop=True)
-    want = jc.full_df().toPandas().sort_values(jc.value_cols).reset_index(drop=True)
+    got = jr.full_pdf().sort_values(jc.value_cols).reset_index(drop=True)
+    want = jc.full_pdf().sort_values(jc.value_cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(got[sorted(got.columns)], want[sorted(want.columns)])
 
 

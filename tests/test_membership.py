@@ -20,7 +20,7 @@ def two_joins(spark):
 @pytest.fixture(scope="module")
 def candidates(spark, two_joins):
     j1, j2 = two_joins
-    u = j1.full_df().unionByName(j2.full_df()).dropDuplicates().toPandas()
+    u = pd.concat([j1.full_pdf(), j2.full_pdf()]).drop_duplicates()
     # plus a fabricated non-member and a condition-violating tuple
     extra = pd.DataFrame(
         {"x": [9, 2], "p": [9.5, 2.5], "bx": [9, 3], "q": ["z", "n"]}
@@ -66,6 +66,6 @@ def test_float_and_string_columns_roundtrip(spark, two_joins):
     # float (p) and string (q) take part in the lookup; exact roundtrip match
     j1, j2 = two_joins
     idx = MembershipIndex([j1, j2])
-    own = j1.full_df().toPandas()
+    own = j1.full_pdf()
     m = idx.matrix(own)
     assert m[:, 0].all()

@@ -21,7 +21,7 @@ def workload(spark):
         rb = Relation("b", spark.createDataFrame(b).cache())
         joins.append(chain(f"o{i}", [ra, rb], [("x", "bx")]))
     uctx = UnionContext(spark, joins)
-    truth = union_tuples(spark, joins).toPandas()
+    truth = union_tuples(spark, joins)
     return uctx, truth
 
 

@@ -17,7 +17,7 @@ def test_uq1_join_matches_sql(spark):
         join customer on o_custkey = c_custkey
     """
     assert_equivalent(
-        j.full_df(),
+        j.full_pdf(),
         sql,
         nation=rels["nation"],
         supplier=rels["supplier"],
@@ -40,7 +40,7 @@ def test_uq2_join_matches_sql(spark):
         join part on ps_partkey = p_partkey
     """
     assert_equivalent(
-        j.full_df(),
+        j.full_pdf(),
         sql,
         region=rels["region"],
         nation=rels["nation"],
@@ -64,7 +64,7 @@ def test_uq3_acyclic_join_matches_sql(spark):
     """
     # drop the date column? no — timestamps compare fine through pandas
     assert_equivalent(
-        j.full_df(),
+        j.full_pdf(),
         sql,
         customer_a=rels["customer_a"],
         supplier=rels["supplier"],
@@ -88,7 +88,7 @@ def test_uq3_split_chain_matches_unsplit(spark):
     """
     customer = next(r.df for r in w.joins[1].relations() if r.name == "customer")
     assert_equivalent(
-        j2.full_df(),
+        j2.full_pdf(),
         sql,
         supplier=rels["supplier"],
         customer=customer,

@@ -73,6 +73,6 @@ def test_full_join_union_and_membership(spark, tiny):
     assert ex.sizes["j2"] == 2  # (1,10,20),(2,12,22)
     assert ex.overlap(frozenset(["j1", "j2"])) == 2
     assert ex.union == 6
-    cands = tiny.full_df().toPandas()
+    cands = tiny.full_pdf()
     f = min_join_index(spark, cands, [tiny, j2])
     assert set(f) == {0}  # j1 first in order, contains everything it produced

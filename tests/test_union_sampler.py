@@ -7,7 +7,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.exact import union_tuples
+from repro.core.cyclic import decompose_triangle, sample_cyclic
+from repro.core.exact import full_join_union, union_tuples
 from repro.core.histogram_union import auto_histogram_warmup, build_estimate
 from repro.core.join_sampler import UnionContext
 from repro.core.join_spec import Relation, chain
@@ -47,7 +48,7 @@ def uctx(spark, tri_union):
 
 @pytest.fixture(scope="module")
 def true_union(spark, tri_union):
-    return union_tuples(spark, tri_union).toPandas()
+    return union_tuples(spark, tri_union)
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +211,28 @@ def test_warmups_start_no_job(spark, uctx):
     res, jobs = _count_jobs(spark, lambda: online_union_sample(uctx, 100, reuse=True, seed=23))
     assert len(res.samples) == 100
     assert jobs == 0
+
+
+def test_exact_and_cyclic_start_no_job(spark, uctx):
+    """FullJoinUnion and cyclic sampling run on the driver: once the
+    relations are collected, neither starts a Spark job."""
+    w3 = uq3(spark, sf=0.002, overlap=0.2, seed=4)
+    for u in (uctx, w3.uctx):
+        for join in u.joins:
+            for r in join.relations():
+                r.pdf
+        ex, jobs = _count_jobs(spark, lambda: full_join_union(spark, u.joins))
+        assert ex.union > 0 and jobs == 0, u.names
+    g = np.random.default_rng(5)
+    frames = [
+        pd.DataFrame({a: g.integers(1, 5, 20), b: g.integers(1, 5, 20)})
+        for a, b in ["ab", "bc", "ca"]
+    ]
+    r1, r2, r3 = (Relation(f"r{i}", spark.createDataFrame(f)) for i, f in enumerate(frames))
+    cj = decompose_triangle("tri", r1, r2, ("b", "b"), r3)
+    assert cj.size_bound() > 0  # collects the skeleton and the residual
+    s, jobs = _count_jobs(spark, lambda: sample_cyclic(spark, cj, 50, seed=6))
+    assert len(s) == 50 and jobs == 0
 
 
 @pytest.mark.parametrize("empty_size", [0.0, 50.0])

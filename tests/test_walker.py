@@ -29,7 +29,7 @@ def abc(spark):
 
 @pytest.fixture(scope="module")
 def abc_full(spark, abc):
-    return abc.full_df().toPandas()
+    return abc.full_pdf()
 
 
 def test_exact_size(abc, abc_full):
