@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.core.exact import full_join_union, union_tuples
-from repro.core.join_spec import Relation, chain
+from repro.core.join_spec import Edge, Join, Node, Relation, chain, reroot
 from repro.workloads import uq3
 
 
@@ -148,6 +148,25 @@ def test_null_join_keys_match_duckdb(spark, using):
     n0, n1 = (j.name for j in joins)
     assert ex.atoms == {frozenset([n0]): 1, frozenset([n0, n1]): 1, frozenset([n1]): 2}
     assert len(union_tuples(spark, joins)) == ex.union
+
+
+@pytest.mark.parametrize("root", ["a", "b"])
+def test_hidden_join_key_matches_duckdb(spark, root):
+    """A hidden ``__rid`` key (a vertical-split rejoin) is carried through
+    an earlier merge until its edge joins on it, whether it sits on the
+    root or on a child, and never reaches the output tuple."""
+    a = _rel(spark, "a", x=[1, 2, 3, 4], pa=[0, 1, 2, 3], __rid=[0, 1, 2, 3])
+    b = _rel(spark, "b", bx=[1, 2, 3], pb=[7, 8, 9])
+    joins = []
+    for i, (lo, hi) in enumerate([(0, 3), (1, 4)]):
+        a2 = _rel(spark, "a2", __rid=list(range(lo, hi)), qa=[10 + r for r in range(lo, hi)])
+        tree = Node(a, [Edge("x", "bx", Node(b)), Edge("__rid", "__rid", Node(a2), fake=True)])
+        joins.append(reroot(Join(f"h{i}", tree), root))
+    assert not any(c.startswith("__") for c in joins[0].full_pdf().columns)
+    ex = full_join_union(spark, joins)
+    assert ex.atoms == duckdb_atoms(joins)
+    h0, h1 = (j.name for j in joins)
+    assert ex.atoms == {frozenset([h0]): 1, frozenset([h0, h1]): 2}
 
 
 def test_uq3_atoms_match_duckdb(spark):
