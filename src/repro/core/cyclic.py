@@ -70,19 +70,26 @@ class CyclicJoin:
 def sample_cyclic(
     spark: SparkSession, cj: CyclicJoin, n: int, *, seed: int = 0
 ) -> pd.DataFrame:
-    """Exactly ``n`` i.i.d. uniform tuples from the cyclic join result."""
+    """Exactly ``n`` i.i.d. uniform tuples from the cyclic join result.
+    Raises ``ValueError`` if the cyclic join is empty."""
     rng = np.random.default_rng(seed)
     m = cj.residual_max_degree()
     residual = cj.residual.pdf[cj.residual.cols]
     out: list[pd.DataFrame] = []
     got = 0
+    nonempty = False
     while got < n:
         batch = max(int((n - got) * 2.0) + 8, 16)
         request = WalkRequest(cj.skeleton, batch, "ew")
         (res,) = run_walks([request], seed=int(rng.integers(2**31))).results
-        walks = res.pdf.drop(columns=["__p"])
+        walks = res.pdf.drop(columns=["__p"], errors="ignore")
         walks["__walk"] = np.arange(len(walks))
-        cand = inner_join(walks, residual, cj.link_cols, cj.link_cols)
+        cand = inner_join(walks, residual, cj.link_cols, cj.link_cols) if len(walks) else walks
+        if not len(cand) and not nonempty:
+            # a batch that matches nothing: decide emptiness exactly, once
+            if not len(cj.full_pdf()):
+                raise ValueError(f"cyclic join {cj.name} has no results to sample")
+            nonempty = True
         cand = cand.sort_values("__walk", kind="stable", ignore_index=True)
         # each walk's d matches are one run of rows: pick one uniformly
         first = np.flatnonzero(np.diff(cand["__walk"].to_numpy(), prepend=-1))

@@ -76,10 +76,11 @@ class MembershipIndex:
     def min_index(self, candidates: pd.DataFrame) -> np.ndarray:
         """f(u) = index of the first join containing each candidate (the
         deterministic min-index cover of §3.1); -1 if in none."""
-        return _first_join(self.matrix(candidates))
+        return first_join(self.matrix(candidates))
 
 
-def _first_join(m: np.ndarray) -> np.ndarray:
+def first_join(m: np.ndarray) -> np.ndarray:
+    """Each bitmap row's first set column: its min-index join; -1 if none."""
     out = np.full(len(m), -1, dtype=np.int64)
     any_row = m.any(axis=1)
     out[any_row] = m[any_row].argmax(axis=1)
@@ -100,4 +101,4 @@ def min_join_index(
     spark: SparkSession, candidates: pd.DataFrame, joins: list[Join]
 ) -> np.ndarray:
     """Reference f(u), via semijoins."""
-    return _first_join(membership_matrix(spark, candidates, joins))
+    return first_join(membership_matrix(spark, candidates, joins))

@@ -4,7 +4,7 @@ Parameters are initialized with the cheap HISTOGRAM-BASED method, then a
 RANDOM-WALK warm-up collects per-join sample pools (with recorded p(t) and
 membership bitmaps) and refines the estimates. During the main sampling
 phase a slot assigned to join j first consumes the j-pool: a pool tuple t
-drawn uniformly is accepted with probability p_min/p(t) (p_min = the
+drawn uniformly is accepted with probability w(t) = p_min/p(t) (p_min = the
 pool's smallest recorded probability), which uniformizes the wander-join
 draws. The paper's ratio R = l/(p(t)·|J_j|) has the same expectation but
 R ≈ l, so one accepted draw would emit pool-size many copies of a single
@@ -13,6 +13,14 @@ is the bounded-acceptance equivalent (see DESIGN.md). Accepted tuples
 leave the pool (§7's without-replacement note); when the pool is dry, the
 slot falls back to the §3.2 join sampler. Cover uniformity uses the same
 retry-within-join semantics as Algorithm 1.
+
+Rejected tuples stay in the pool and accepted ones leave, so the accepted
+sequence is weighted sampling without replacement with weights w, drawn in
+one vectorized step per join and round (:func:`_reuse_draws`) by sorting
+Efraimidis–Spirakis keys (log form: E/w, E ~ Exp(1)). Before each
+acceptance the attempt count is geometric with rate (live weight)/(live
+count), so the cap of 4·|pool| attempts per join and round and the φ
+trigger keep the per-draw loop's distribution.
 
 Every φ accepted-or-rejected probability records, the join / overlap /
 union estimates are recomputed from the accumulated state and every kept
@@ -31,6 +39,7 @@ import pandas as pd
 
 from .histogram_union import WarmupEstimate, auto_histogram_warmup
 from .join_sampler import JOIN, UnionContext, sample_join
+from .membership import first_join
 from .randomwalk_union import (
     RWState,
     estimate_from_state,
@@ -49,12 +58,39 @@ class OnlineResult:
     counts: dict = field(default_factory=dict)
     n_backtracks: int = 0
     n_backtrack_rejected: int = 0
+    complete: bool = True  # False: max_rounds ran out before n samples
 
     def per_sample_time(self, phase: str) -> float:
         """Seconds per accepted sample in the 'reuse' or 'regular' phase
         (the Fig 6b metric)."""
         c = self.counts.get(f"{phase}_accepted", 0)
         return self.timings.get(phase, 0.0) / c if c else float("nan")
+
+
+def _reuse_draws(
+    rng: np.random.Generator, p: np.ndarray, cover: np.ndarray, need: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One join's reuse draws from a pool with probabilities ``p``: draw
+    uniformly from the live pool, accept with p_min/p(t), keep an accepted
+    tuple if ``cover`` marks it, until ``need`` are kept, the pool is dry
+    or 4·|pool| attempts were made. Returns the accepted positions in
+    acceptance order, the kept ones among them, and the attempt count."""
+    m = len(p)
+    w = p.min() / p
+    order = np.argsort(rng.standard_exponential(m) / w, kind="stable")
+    live_w = np.cumsum(w[order][::-1])[::-1]  # live weight before each acceptance
+    q = np.minimum(live_w / np.arange(m, 0, -1), 1.0)
+    done_at = np.cumsum(rng.geometric(q))  # attempts made at each acceptance
+    n_acc = int(np.searchsorted(done_at, 4 * m, side="right"))  # within the cap
+    k = int(np.searchsorted(np.cumsum(cover[order]), need))  # the need-th kept
+    if k < n_acc:
+        n_acc, attempts = k + 1, done_at[k]
+    elif n_acc == m:
+        attempts = done_at[-1]  # pool dry
+    else:
+        attempts = 4 * m  # cap binds
+    acc = order[:n_acc]
+    return acc, acc[cover[acc]], int(attempts)
 
 
 def online_union_sample(
@@ -80,10 +116,7 @@ def online_union_sample(
 
     t0 = time.perf_counter()
     rw_est, state = randomwalk_warmup(
-        uctx,
-        batch=warmup_batch,
-        max_samples=warmup_max,
-        seed=int(rng.integers(2**31)),
+        uctx, batch=warmup_batch, max_samples=warmup_max, seed=int(rng.integers(2**31))
     )
     t_rw = time.perf_counter() - t0
 
@@ -91,15 +124,17 @@ def online_union_sample(
     # the first backtracking step swaps in the random-walk refinement
     # (estimate_from_state) and re-accepts prior samples accordingly.
     est = hist_est
+    cp = est.cover_probs()
     del rw_est  # superseded at the first backtracking update
-    pools = {j: state.pools[j].copy() for j in names} if reuse else {
-        j: pd.DataFrame() for j in names
-    }
-    pool_member = {j: state.member[j].copy() for j in names}
+    # Live pools, and whether each pool tuple is in its join's cover: its
+    # min-index join f(t) (from the membership bitmap) is that join.
+    pools = {j: state.pools[j] for j in names if reuse and len(state.pools[j])}
+    covers = {j: np.isin(first_join(state.member[j]), (jidx_of[j], -1)) for j in pools}
 
-    outstanding = _alloc(rng, n, _drop_empty(uctx, est.cover_probs()))
-    kept_rows: list[pd.Series] = []
-    kept_meta: list[dict] = []  # {join, ratio} for backtracking
+    outstanding = _alloc(rng, n, _drop_empty(uctx, cp))
+    kept: list[pd.DataFrame] = []  # kept samples, value columns, in order
+    kept_join: list[np.ndarray] = []  # the join index of each kept row
+    kept_ratio: list[np.ndarray] = []  # its join's cover prob when kept
     t_reuse = t_regular = 0.0
     c_reuse = c_regular = 0
     records_since_bt = 0
@@ -107,50 +142,28 @@ def online_union_sample(
     confident = False
     rounds = 0
 
-    def ratio(j: str, e: WarmupEstimate) -> float:
-        cp = e.cover_probs()
-        return cp[j]
+    def keep(rows: pd.DataFrame, j: str) -> None:
+        kept.append(rows[uctx.value_cols])
+        kept_join.append(np.full(len(rows), jidx_of[j]))
+        kept_ratio.append(np.full(len(rows), cp[j]))
 
     while outstanding and rounds < max_rounds:
         rounds += 1
         for j, need in outstanding.items():
-            jidx = jidx_of[j]
-            pool = pools[j]
             # ---- reuse phase -------------------------------------------
-            if len(pool):
-                t0 = time.perf_counter()
-                p_min = float(pool[P].min())
-                taken = 0
-                remaining = list(range(len(pool)))
-                accepted_idx: set[int] = set()
-                attempts = 0
-                # Each attempt draws uniformly from the live pool; accepted
-                # tuples leave it (§7's without-replacement note), rejected
-                # ones stay. Acceptance p_min/p(t) uniformizes the draws.
-                while taken < need and remaining and attempts < 4 * len(pool):
-                    attempts += 1
-                    pos = remaining[int(rng.integers(len(remaining)))]
-                    row = pool.iloc[pos]
-                    records_since_bt += 1
-                    if rng.random() >= p_min / row[P]:
-                        continue  # rejected; tuple stays in the pool
-                    remaining.remove(pos)
-                    accepted_idx.add(pos)
-                    # cover check from the pre-computed membership bitmap
-                    mem = pool_member[j][pos]
-                    f = int(np.argmax(mem)) if mem.any() else jidx
-                    if f != jidx:
-                        continue  # another join's cover — retry within j
-                    kept_rows.append(row[uctx.value_cols])
-                    kept_meta.append({"join": j, "ratio": ratio(j, est)})
-                    taken += 1
-                mask = np.ones(len(pool), dtype=bool)
-                mask[list(accepted_idx)] = False
-                pools[j] = pool[mask].reset_index(drop=True)
-                pool_member[j] = pool_member[j][mask]
-                t_reuse += time.perf_counter() - t0
-                c_reuse += taken
-                outstanding[j] = need - taken
+            if not len(pools.get(j, ())):
+                continue
+            t0 = time.perf_counter()
+            pool, cover = pools[j], covers[j]
+            acc, take, attempts = _reuse_draws(rng, pool[P].to_numpy(), cover, need)
+            records_since_bt += attempts
+            keep(pool.iloc[take], j)
+            live = np.ones(len(pool), dtype=bool)
+            live[acc] = False
+            pools[j], covers[j] = pool[live], cover[live]
+            t_reuse += time.perf_counter() - t0
+            c_reuse += len(take)
+            outstanding[j] = need - len(take)
         outstanding = {j: v for j, v in outstanding.items() if v > 0}
         # ---- regular phase (§3.2 sampler + cover retry), all joins at once
         if outstanding:
@@ -163,59 +176,44 @@ def online_union_sample(
             in_cover = f == batch[JOIN].map(jidx_of).to_numpy()
             records_since_bt += len(batch)
             for j, need in outstanding.items():
-                ok = batch[(batch[JOIN] == j).to_numpy() & in_cover]
-                take = min(len(ok), need)
-                for _, row in ok.head(take).iterrows():
-                    kept_rows.append(row[uctx.value_cols])
-                    kept_meta.append({"join": j, "ratio": ratio(j, est)})
-                c_regular += take
-                outstanding[j] = need - take
+                ok = batch[(batch[JOIN] == j).to_numpy() & in_cover].head(need)
+                keep(ok, j)
+                c_regular += len(ok)
+                outstanding[j] = need - len(ok)
             t_regular += time.perf_counter() - t0
         outstanding = {j: v for j, v in outstanding.items() if v > 0}
 
         # ---- backtracking with parameter update (every φ records) -------
         if records_since_bt >= phi and not confident:
             records_since_bt = 0
-            new_est = estimate_from_state(uctx, state)
-            keep_mask = []
-            for meta in kept_meta:
-                old_r = meta["ratio"]
-                new_r = ratio(meta["join"], new_est)
-                p_keep = min(1.0, new_r / old_r) if old_r > 0 else 1.0
-                ok_keep = rng.random() < p_keep
-                keep_mask.append(ok_keep)
-                if ok_keep:
-                    meta["ratio"] = new_r
+            est = estimate_from_state(uctx, state)
+            cp = est.cover_probs()
             n_bt += 1
-            n_bt_rej += keep_mask.count(False)
-            kept_rows = [r for r, k in zip(kept_rows, keep_mask) if k]
-            kept_meta = [m for m, k in zip(kept_meta, keep_mask) if k]
+            if kept:  # one keep decision per kept row, one filter
+                rows = pd.concat(kept, ignore_index=True)
+                jix, old_r = np.concatenate(kept_join), np.concatenate(kept_ratio)
+                new_r = np.array([cp[j] for j in names])[jix]
+                p_keep = np.divide(new_r, old_r, out=np.ones_like(new_r), where=old_r > 0)
+                ok = rng.random(len(rows)) < p_keep
+                n_bt_rej += int(len(ok) - ok.sum())
+                kept, kept_join, kept_ratio = [rows[ok]], [jix[ok]], [new_r[ok]]
             # redistribute the rejected slots
-            miss = n - len(kept_rows) - sum(outstanding.values())
+            miss = n - sum(map(len, kept_join)) - sum(outstanding.values())
             if miss > 0:
-                probs = _drop_empty(uctx, new_est.cover_probs())
-                for jj, c in _alloc(rng, miss, probs).items():
+                for jj, c in _alloc(rng, miss, _drop_empty(uctx, cp)).items():
                     outstanding[jj] = outstanding.get(jj, 0) + c
-            est = new_est
             confident = _confidence_reached(uctx, state, est, gamma)
 
-    samples = (
-        pd.DataFrame(kept_rows).reset_index(drop=True)
-        if kept_rows
-        else pd.DataFrame(columns=uctx.value_cols)
-    )
+    samples = pd.concat(kept, ignore_index=True) if kept else pd.DataFrame(columns=uctx.value_cols)
+    samples = samples.head(n)
     return OnlineResult(
-        samples=samples.head(n),
+        samples=samples,
         estimate=est,
-        timings={
-            "warmup_hist": t_hist,
-            "warmup_rw": t_rw,
-            "reuse": t_reuse,
-            "regular": t_regular,
-        },
+        timings={"warmup_hist": t_hist, "warmup_rw": t_rw, "reuse": t_reuse, "regular": t_regular},
         counts={"reuse_accepted": c_reuse, "regular_accepted": c_regular},
         n_backtracks=n_bt,
         n_backtrack_rejected=n_bt_rej,
+        complete=len(samples) == n,
     )
 
 

@@ -239,18 +239,27 @@ def _lazy_sample(
     rng: np.random.Generator,
     max_rounds: int,
 ) -> UnionSampleResult:
-    """Algorithm 1 verbatim: orig_join bookkeeping + revision, no oracle."""
+    """Algorithm 1 verbatim: orig_join bookkeeping + revision, no oracle.
+
+    ``orig`` maps each value tuple to the join it is assigned to, and only
+    ever moves to a lower index. So a kept copy is live iff its join is
+    still its tuple's ``orig``: a revision purges the older copies by
+    moving ``orig``. One mask per round counts the live copies, and the
+    last one filters them."""
     names = uctx.names
     probs = _drop_empty(uctx, est.cover_probs())
     stats = SampleStats()
     orig: dict[tuple, int] = {}
-    kept: list[tuple[int, tuple, pd.Series]] = []  # (join idx, value key, row)
+    kept: list[pd.DataFrame] = []  # every accepted row, in order
+    kept_keys: list[tuple] = []
+    kept_join: list[int] = []
+    is_live = np.zeros(0, dtype=bool)
     n_drawn = n_rej = 0
     t_acc = t_rej = 0.0
     rounds = 0
-    while len(kept) < n and rounds < max_rounds:
+    while is_live.sum() < n and rounds < max_rounds:
         rounds += 1
-        alloc = _alloc(rng, n - len(kept), probs)
+        alloc = _alloc(rng, n - int(is_live.sum()), probs)
         walks_before = dict(stats.walks_by_join)
         t0 = time.perf_counter()
         batch = sample_join(
@@ -263,32 +272,32 @@ def _lazy_sample(
         n_drawn += len(batch)
         for j in alloc:
             t0 = time.perf_counter()
-            rows = batch[batch[JOIN] == j]
+            rows = batch[batch[JOIN] == j][uctx.value_cols]
             jidx = names.index(j)
-            acc_cnt = 0
-            for _, row in rows.iterrows():
-                key = tuple(row[uctx.value_cols])
+            acc = np.zeros(len(rows), dtype=bool)
+            for r, key in enumerate(rows.itertuples(index=False, name=None)):
                 i = orig.get(key)
                 if i is not None and i < jidx:
-                    n_rej += 1  # line 8: reject
-                    continue
-                if i is not None and i > jidx:
-                    # lines 10–12: revision — reassign and purge old copies
-                    kept = [k for k in kept if k[1] != key]
-                orig[key] = jidx
-                kept.append((jidx, key, row))
-                acc_cnt += 1
+                    continue  # line 8: reject
+                orig[key] = jidx  # lines 10–12: a revision purges older copies
+                acc[r] = True
+                kept_keys.append(key)
+                kept_join.append(jidx)
+            kept.append(rows[acc])
+            acc_cnt = int(acc.sum())
+            n_rej += len(rows) - acc_cnt
             dt = shares.get(j, 0.0) + time.perf_counter() - t0
             if len(rows):
                 t_acc += dt * acc_cnt / len(rows)
                 t_rej += dt * (len(rows) - acc_cnt) / len(rows)
-    kept = kept[:n]
+        is_live = np.array([orig[k] == i for k, i in zip(kept_keys, kept_join)], dtype=bool)
     samples = (
-        pd.DataFrame([r for _, _, r in kept])[uctx.value_cols].reset_index(drop=True)
+        pd.concat(kept, ignore_index=True)[is_live].head(n).reset_index(drop=True)
         if kept
         else pd.DataFrame(columns=uctx.value_cols)
     )
-    per_join = {j: sum(1 for i, _, _ in kept if names[i] == j) for j in names}
+    jix = np.array(kept_join, dtype=np.int64)[is_live][:n]
+    per_join = {j: int((jix == i).sum()) for i, j in enumerate(names)}
     return UnionSampleResult(
         samples=samples,
         warmup=est,

@@ -99,12 +99,14 @@ def _walk_plan(join: Join) -> WalkPlan:
         id(n): n.relation.pdf.drop(columns=[W], errors="ignore") for n in nodes
     }
     # --- full reducer: bottom-up then top-down semijoins -----------------
+    # A null key matches nothing (SQL semantics, as in ``inner_join``):
+    # ``isin`` would match NaN with NaN.
     for parent, e in reversed(edges):
-        keys = pdfs[id(e.child)][e.child_col].unique()
+        keys = pdfs[id(e.child)][e.child_col].dropna().unique()
         par = pdfs[id(parent)]
         pdfs[id(parent)] = par[par[e.parent_col].isin(keys)]
     for parent, e in edges:
-        keys = pdfs[id(parent)][e.parent_col].unique()
+        keys = pdfs[id(parent)][e.parent_col].dropna().unique()
         ch = pdfs[id(e.child)]
         pdfs[id(e.child)] = ch[ch[e.child_col].isin(keys)]
     pdfs = {k: v.reset_index(drop=True) for k, v in pdfs.items()}

@@ -2,5 +2,5 @@
 
 One function per table (T1–T8, see DESIGN.md §4); each returns the rows
 the corresponding figure panel plots. ``jobs/`` wraps them for
-spark-submit, ``benchmarks/`` wraps them for pytest-benchmark.
+spark-submit.
 """

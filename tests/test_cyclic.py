@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.cyclic import decompose_triangle, sample_cyclic
 from repro.core.join_spec import Relation
+from deadline import deadline
 from statutil import assert_uniform
 
 
@@ -66,3 +67,22 @@ def test_samples_valid(spark, triangle):
     s = sample_cyclic(spark, cj, 100, seed=2)
     merged = s.merge(truth.drop_duplicates(), how="left", indicator=True)
     assert (merged["_merge"] == "both").all()
+
+
+def test_empty_cyclic_join_raises(spark):
+    """A cyclic join whose residual matches no skeleton tuple is empty,
+    though the skeleton and the residual are not: the sampler says so
+    instead of drawing forever."""
+    r1 = pd.DataFrame({"a": [1, 2], "b": [1, 2]})
+    r2 = pd.DataFrame({"b": [1, 2], "c": [1, 2]})
+    r3 = pd.DataFrame({"c": [1, 2], "a": [2, 1]})
+    cj = decompose_triangle(
+        "notri",
+        Relation("r1", spark.createDataFrame(r1)),
+        Relation("r2", spark.createDataFrame(r2)),
+        ("b", "b"),
+        Relation("r3", spark.createDataFrame(r3)),
+    )
+    assert cj.size_bound() == 2 and not len(cj.full_pdf())
+    with deadline(10), pytest.raises(ValueError, match="notri"):
+        sample_cyclic(spark, cj, 10, seed=0)

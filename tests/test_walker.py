@@ -1,4 +1,5 @@
 """Random-walk operator: distributions, HT estimation, dead ends."""
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
@@ -58,6 +59,23 @@ def test_uniform_walk_p_matches_frequency(spark, abc):
     )
     emp = grp["n"] / 20000
     assert np.allclose(emp, grp["p"], rtol=0.35)
+
+
+@pytest.mark.parametrize("mode", ["uniform", "ew"])
+def test_walks_skip_null_keys(spark, mode):
+    """A null join key matches nothing, a null on the other side included:
+    every walk returns the one tuple of l(k: 1, null, null) ⋈ r(rk: 1, 2,
+    null), as DuckDB computes the join."""
+    lk = pd.DataFrame({"k": pd.array([1, None, None], dtype="Int64"), "pl": [0, 1, 2]})
+    rk = pd.DataFrame({"rk": pd.array([1, 2, None], dtype="Int64"), "pr": [0, 1, 2]})
+    rels = [Relation("l", spark.createDataFrame(lk)), Relation("r", spark.createDataFrame(rk))]
+    join = chain("lr", rels, [("k", "rk")])
+    truth = duckdb.sql("select * from lk join rk on lk.k = rk.rk").df()[join.value_cols]
+    res = run_walks([WalkRequest(join, 2000, mode)], seed=1).results[0]
+    got = res.pdf[join.value_cols]
+    assert len(got) == 2000 and got.notna().all().all()
+    merged = got.merge(truth, how="left", indicator=True)
+    assert (merged["_merge"] == "both").all()
 
 
 def test_uniform_walks_never_dead_end(spark, abc):
