@@ -40,7 +40,7 @@ if __name__ == "__main__":
         ("T7 (Fig 6a): online union sampling, reuse vs no reuse",
          lambda: T.t7_reuse(spark, sf=args.sf, ns=(100, 200, 400), seed=args.seed)),
         ("T8 (Fig 6b): per-sample time, reuse vs regular phase",
-         lambda: T.t8_per_sample(spark, sf=args.sf, n=400, seed=args.seed)),
+         lambda: T.t8_per_sample(spark, sf=args.sf, n=T.T8_N, seed=args.seed)),
     ]
     for title, fn in specs:
         t0 = time.time()

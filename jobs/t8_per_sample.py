@@ -6,11 +6,11 @@ sys.path.insert(0, ".")
 from _common import base_parser  # noqa: E402
 
 from repro.experiments.session import get_spark, print_table  # noqa: E402
-from repro.experiments.tables import t8_per_sample  # noqa: E402
+from repro.experiments.tables import T8_N, t8_per_sample  # noqa: E402
 
 if __name__ == "__main__":
     p = base_parser(__doc__)
-    p.add_argument("--n", type=int, default=300)
+    p.add_argument("--n", type=int, default=T8_N)
     args = p.parse_args()
     spark = get_spark("t8")
     rows = t8_per_sample(spark, sf=args.sf, n=args.n, seed=args.seed)

@@ -13,6 +13,7 @@ bound is as tight as max-degree statistics allow.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +23,7 @@ from pyspark.sql import SparkSession
 from . import walker
 from .join_spec import Join
 from .membership import MembershipIndex
-from .olken import reduce_join
 from .walker import DPROD, WalkBatch, WalkPlan, WalkRequest, run_walks
-from .weights import weighted_join
 
 JOIN = "__join"  # name of the join a sample_join row was drawn from
 
@@ -40,14 +39,9 @@ class SampleStats:
 
 
 class JoinContext:
-    """Per-join artifacts, all derived from the walk plan (the one-time
-    collected + reduced + EW-weighted index of the join, cached by
-    :func:`repro.core.walker._walk_plan`).
-
-    ``reduced``/``weighted`` Spark reference implementations remain
-    available for cross-checks (:mod:`repro.core.olken`,
-    :mod:`repro.core.weights`), but the sampling path reads the plan.
-    """
+    """Per-join artifacts, all read off the walk plan: the one-time
+    collected, reduced and EW-weighted index of the join, cached by
+    :func:`repro.core.walker._walk_plan`."""
 
     def __init__(self, join: Join):
         self.join = join
@@ -58,39 +52,26 @@ class JoinContext:
         return walker._walk_plan(self.join)
 
     @property
-    def reduced(self) -> Join:
-        if "_reduced" not in self.__dict__:
-            self.__dict__["_reduced"] = reduce_join(self.join)
-        return self.__dict__["_reduced"]
-
-    @property
-    def weighted(self) -> Join:
-        if "_weighted" not in self.__dict__:
-            self.__dict__["_weighted"] = weighted_join(self.reduced)
-        return self.__dict__["_weighted"]
-
-    @property
     def size_exact(self) -> int:
         """Exact |J| — Σ of root EW weights (no join materialization)."""
         return int(round(self.plan.total_weight))
 
     @property
     def size_olken(self) -> int:
-        """Extended Olken bound |R_root| · Π M over the reduced relations
-        (the paper's EO with non-joinable tuples zeroed out)."""
-        bound = self.n_root
-        for step in self.plan.steps:
-            if not step.fake:
-                bound *= step.max_deg
-        return int(bound)
+        """Extended Olken bound |R_root| · Π M (§3.2).
+
+        Along every edge a parent tuple matches at most M = the child's
+        max degree on its join column, so |J| ≤ |R_root| · Π M. A fake
+        edge contributes 1: a split row rejoins exactly its counterpart.
+        The bound is taken over the plan's fully reduced relations (the
+        paper's "extra linear search to zero the weights of non-joinable
+        tuples"), which tightens it."""
+        return self.n_root * self.m_prod
 
     @property
-    def m_prod(self) -> float:
-        prod = 1.0
-        for step in self.plan.steps:
-            if not step.fake:
-                prod *= step.max_deg
-        return prod
+    def m_prod(self) -> int:
+        """Π M over the plan's non-fake edges."""
+        return math.prod(s.max_deg for s in self.plan.steps if not s.fake)
 
     @property
     def n_root(self) -> int:

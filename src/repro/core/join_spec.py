@@ -202,8 +202,7 @@ class Join:
         }
         for r in self.relations():
             for c in r.df.columns:
-                # Hidden framework columns (EW weights, split row ids) are
-                # renamed or keyed explicitly at composition time.
+                # Hidden split row ids are keyed explicitly at composition time.
                 if c.startswith("__"):
                     continue
                 if c in seen and c not in using:
@@ -250,30 +249,3 @@ def chain(
         node = parent
     return Join(name, node)
 
-
-def reroot(join: Join, relation_name: str) -> Join:
-    """Re-root the join tree at the named relation (joins are undirected).
-
-    Used by samplers that want the smallest relation as the walk start.
-    """
-    adj: dict[str, list[tuple[str, str, str, bool]]] = {}
-    rels: dict[str, Relation] = {}
-    for n in join.nodes():
-        rels[n.relation.name] = n.relation
-        adj.setdefault(n.relation.name, [])
-    for p, e in join.edges():
-        a, b = p.relation.name, e.child.relation.name
-        adj[a].append((b, e.parent_col, e.child_col, e.fake))
-        adj[b].append((a, e.child_col, e.parent_col, e.fake))
-    if relation_name not in rels:
-        raise KeyError(relation_name)
-
-    def build(rname: str, parent: str | None) -> Node:
-        node = Node(rels[rname])
-        for other, my_col, their_col, fake in adj[rname]:
-            if other == parent:
-                continue
-            node.edges.append(Edge(my_col, their_col, build(other, rname), fake))
-        return node
-
-    return Join(join.name, build(relation_name, None))

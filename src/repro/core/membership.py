@@ -1,76 +1,102 @@
-"""Tuple-in-join membership oracle (§6.2's "queries with key", batched).
+"""Tuple-in-join membership index (§6.2's "queries with key", batched).
 
 A candidate output tuple u belongs to join J iff (a) all of J's join
 conditions hold as column equalities inside u, and (b) u's projection onto
-every base relation of J exists in that relation. With full-schema outputs
-(the paper's setting — all joins share one output schema), (a) + (b) is an
-exact membership test.
+every base relation of J exists in that relation among the rows that can
+join. With full-schema outputs (the paper's setting — all joins share one
+output schema), (a) + (b) is an exact membership test, given two rules:
 
-Two implementations:
+* a row with a null join key joins nothing (SQL semantics, as in
+  :func:`~repro.core.join_spec.inner_join`), so it is not indexed;
+* relations linked by a hidden-key edge (a vertical split rejoined on a
+  ``__`` row id) are merged once on that key and indexed as one unit, so
+  the halves of different rows do not pass together.
 
-* :func:`member_ids` — reference path: one ``left_semi`` join per relation
-  (a Spark job per probe batch). Exact; used by tests as the oracle.
-* :class:`MembershipIndex` — production path, the analogue of the paper's
-  in-memory hash tables over relations: the distinct rows of each distinct
-  relation, indexed once from the frame the walk plans collect, so a probe
-  is an exact lookup of each candidate's projection on the driver, with no
-  Spark job.
+:class:`MembershipIndex` is the analogue of the paper's in-memory hash
+tables over relations: the distinct rows of each unit, indexed once from
+the relations' collected frames, so a probe is an exact lookup of each
+candidate's projection on the driver, with no Spark job.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
-from .join_spec import Join, Relation
+from .join_spec import Join, Node, Relation, inner_join
 
-CAND = "__cand"
+# One unit of a join: its relations, linked by hidden-key edges, with the
+# hidden-key edges' (parent, child) columns and the unit's join-key columns.
+Unit = tuple[tuple[Relation, ...], tuple[tuple[str, str], ...], tuple[str, ...]]
 
 
-def member_ids(
-    spark: SparkSession, candidates: pd.DataFrame, join: Join
-) -> np.ndarray:
-    """Reference membership via semijoins. Indices into ``candidates``."""
-    pdf = candidates.reset_index(drop=True).copy()
-    pdf[CAND] = np.arange(len(pdf), dtype=np.int64)
-    df = spark.createDataFrame(pdf)
-    for a, b in join.condition_pairs():
-        df = df.filter(F.col(a) == F.col(b))
-    for rel in join.relations():
-        cols = rel.cols
-        df = df.join(rel.df.select(*cols).dropDuplicates(), on=cols, how="left_semi")
-    ids = df.select(CAND).toPandas()[CAND].to_numpy()
-    return np.sort(ids)
+def _units(join: Join) -> list[Unit]:
+    """The join's relations grouped along hidden-key edges, in BFS order."""
+    keys: dict[int, set[str]] = {id(n): set() for n in join.nodes()}
+    unit_of = {id(join.root): 0}
+    nodes: list[list[Node]] = [[join.root]]
+    links: list[list[tuple[str, str]]] = [[]]
+    for parent, e in join.edges():
+        keys[id(parent)].add(e.parent_col)
+        keys[id(e.child)].add(e.child_col)
+        if e.parent_col.startswith("__"):
+            u = unit_of[id(parent)]
+            links[u].append((e.parent_col, e.child_col))
+        else:
+            u = len(nodes)
+            nodes.append([])
+            links.append([])
+        unit_of[id(e.child)] = u
+        nodes[u].append(e.child)
+    return [
+        (
+            tuple(n.relation for n in ns),
+            tuple(ls),
+            tuple(sorted(set().union(*(keys[id(n)] for n in ns)))),
+        )
+        for ns, ls in zip(nodes, links)
+    ]
+
+
+def _unit_rows(unit: Unit) -> tuple[list[str], pd.MultiIndex]:
+    """The unit's visible columns and its distinct joinable rows."""
+    rels, links, keys = unit
+    df = rels[0].pdf
+    for rel, (pcol, ccol) in zip(rels[1:], links):
+        df = inner_join(df, rel.pdf, [pcol], [ccol])
+    cols = [c for c in df.columns if not c.startswith("__")]
+    keys = [k for k in keys if k in cols]
+    if any(df[k].hasnans for k in keys):  # dropna alone would copy every time
+        df = df.dropna(subset=keys)
+    return cols, pd.MultiIndex.from_frame(df[cols]).unique()
 
 
 class MembershipIndex:
-    """The distinct visible-column rows of every relation of ``joins``,
-    indexed once per distinct relation (shared relations are indexed once)."""
+    """The distinct joinable rows of every unit of ``joins``, indexed once
+    per distinct unit (a relation shared by several joins is indexed once)."""
 
     def __init__(self, joins: list[Join]):
         self.joins = joins
-        self.rows: dict[Relation, pd.MultiIndex] = {}
-        for join in joins:
-            for rel in join.relations():
-                if rel not in self.rows:
-                    self.rows[rel] = pd.MultiIndex.from_frame(rel.pdf[rel.cols]).unique()
+        self.units = [_units(join) for join in joins]
+        self.rows: dict[Unit, tuple[list[str], pd.MultiIndex]] = {}
+        for units in self.units:
+            for unit in units:
+                if unit not in self.rows:
+                    self.rows[unit] = _unit_rows(unit)
 
     def matrix(self, candidates: pd.DataFrame) -> np.ndarray:
         """Boolean matrix m[i, j] = candidates.iloc[i] ∈ joins[j]."""
         probes: dict[tuple[str, ...], pd.MultiIndex] = {}  # one per column set
         found = {}
-        for rel, rows in self.rows.items():
-            cols = tuple(rel.cols)
-            if cols not in probes:
-                probes[cols] = pd.MultiIndex.from_frame(candidates[list(cols)])
-            found[rel] = rows.get_indexer(probes[cols]) >= 0
+        for unit, (cols, rows) in self.rows.items():
+            if tuple(cols) not in probes:
+                probes[tuple(cols)] = pd.MultiIndex.from_frame(candidates[cols])
+            found[unit] = rows.get_indexer(probes[tuple(cols)]) >= 0
         m = np.ones((len(candidates), len(self.joins)), dtype=bool)
         for j, join in enumerate(self.joins):
             for a, b in join.condition_pairs():
                 m[:, j] &= candidates[a].to_numpy() == candidates[b].to_numpy()
-            for rel in join.relations():
-                m[:, j] &= found[rel]
+            for unit in self.units[j]:
+                m[:, j] &= found[unit]
         return m
 
     def min_index(self, candidates: pd.DataFrame) -> np.ndarray:
@@ -85,20 +111,3 @@ def first_join(m: np.ndarray) -> np.ndarray:
     any_row = m.any(axis=1)
     out[any_row] = m[any_row].argmax(axis=1)
     return out
-
-
-def membership_matrix(
-    spark: SparkSession, candidates: pd.DataFrame, joins: list[Join]
-) -> np.ndarray:
-    """Reference m[i, j] = candidates.iloc[i] ∈ joins[j], via semijoins."""
-    m = np.zeros((len(candidates), len(joins)), dtype=bool)
-    for j, join in enumerate(joins):
-        m[member_ids(spark, candidates, join), j] = True
-    return m
-
-
-def min_join_index(
-    spark: SparkSession, candidates: pd.DataFrame, joins: list[Join]
-) -> np.ndarray:
-    """Reference f(u), via semijoins."""
-    return first_join(membership_matrix(spark, candidates, joins))

@@ -52,6 +52,7 @@ class UnionSampleResult:
     per_join_accepted: dict = field(default_factory=dict)
     stats: SampleStats | None = None
     rounds: int = 0  # sampling rounds, each one sample_join call for all joins
+    complete: bool = True  # False: max_rounds ran out before n samples
 
 
 def warmup_params(
@@ -228,6 +229,7 @@ def _oracle_sample(
         per_join_accepted=per_join,
         stats=stats,
         rounds=rounds,
+        complete=len(samples) == n,
     )
 
 
@@ -307,6 +309,7 @@ def _lazy_sample(
         per_join_accepted=per_join,
         stats=stats,
         rounds=rounds,
+        complete=len(samples) == n,
     )
 
 

@@ -28,7 +28,6 @@ import numpy as np
 import pandas as pd
 
 from .join_spec import Join
-from .weights import W
 
 P = "__p"
 DPROD = "__dprod"
@@ -85,19 +84,17 @@ _plans: weakref.WeakKeyDictionary[Join, WalkPlan] = weakref.WeakKeyDictionary()
 def _walk_plan(join: Join) -> WalkPlan:
     """Reduce, weight and sort the join's collected relations, once per
     join — the one-time "index construction" of the paper's framework
-    (their hash tables). The full (Yannakakis) reduction and the EW weight
-    DP run vectorized on the collected data; the Spark-aggregation
-    reference implementations live in :mod:`repro.core.olken` and
-    :mod:`repro.core.weights` and are cross-checked by tests.
+    (their hash tables). The full (Yannakakis) reduction, the EW weight
+    DP and each edge's max degree (the Olken bound's M) run vectorized on
+    the collected data; this is their one implementation, and tests check
+    it against DuckDB.
     """
     cached = _plans.get(join)
     if cached is not None:
         return cached
     nodes = join.nodes()
     edges = list(join.edges())  # (parent Node, Edge), BFS order
-    pdfs: dict[int, pd.DataFrame] = {
-        id(n): n.relation.pdf.drop(columns=[W], errors="ignore") for n in nodes
-    }
+    pdfs: dict[int, pd.DataFrame] = {id(n): n.relation.pdf for n in nodes}
     # --- full reducer: bottom-up then top-down semijoins -----------------
     # A null key matches nothing (SQL semantics, as in ``inner_join``):
     # ``isin`` would match NaN with NaN.

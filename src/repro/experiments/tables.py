@@ -115,8 +115,7 @@ def t2_union_size_runtime(
     workloads: tuple = ("uq1", "uq3"),
 ) -> list[dict]:
     """Both methods read the relations' collected frames, so every relation
-    is collected before either is timed (``collect_seconds``); each
-    workload's cached frames are released once its row is done."""
+    is collected before either is timed (``collect_seconds``)."""
     rows = []
     for wname in workloads:
         for ov in overlaps:
@@ -143,8 +142,6 @@ def t2_union_size_runtime(
                     "true_union": ex.union,
                 }
             )
-            for r in rels:
-                r.df.unpersist()
     return rows
 
 
@@ -318,11 +315,16 @@ def t7_reuse(
 
 # --------------------------------------------------------------------------
 # T8 (Fig 6b): per-accepted-sample time, regular phase vs reuse phase.
+# N must outlast the warm-up pools, or the regular phase never runs: at
+# SF 0.1, UQ1's pools serve N = 400.
+T8_N = 1000
+
+
 def t8_per_sample(
     spark: SparkSession,
     *,
     sf: float = 0.01,
-    n: int = 300,
+    n: int = T8_N,
     workloads: tuple = ("uq1", "uq2", "uq3"),
     overlap: float = 0.2,
     seed: int = 0,

@@ -30,10 +30,10 @@ def uq1(
     seed: int = 0,
     tiers: list[Tier] | None = None,
 ) -> Workload:
-    nation = Relation("nation", synth_data.nation(spark).cache())
-    supplier = Relation("supplier", synth_data.supplier(spark, sf=sf, seed=seed + 6).cache())
-    orders = Relation("orders", synth_data.orders(spark, sf=sf, seed=seed + 1).cache())
-    customer = Relation("customer", synth_data.customer(spark, sf=sf, seed=seed + 2).cache())
+    nation = Relation("nation", synth_data.nation(spark))
+    supplier = Relation("supplier", synth_data.supplier(spark, sf=sf, seed=seed + 6))
+    orders = Relation("orders", synth_data.orders(spark, sf=sf, seed=seed + 1))
+    customer = Relation("customer", synth_data.customer(spark, sf=sf, seed=seed + 2))
     li_pdf = synth_data.lineitem(spark, sf=sf, seed=seed).toPandas()
     n_supp = synth_data.n_rows("supplier", sf)
     tiers = tiers if tiers is not None else default_tiers(overlap, n_joins)
@@ -41,7 +41,7 @@ def uq1(
     joins = []
     for v in range(n_joins):
         li_v = tiered_key_variant(li_pdf, "l_suppkey", n_supp, tiers, v)
-        li = Relation(f"lineitem_{v}", spark.createDataFrame(li_v).cache())
+        li = Relation(f"lineitem_{v}", spark.createDataFrame(li_v))
         joins.append(
             chain(
                 f"uq1_{v}",

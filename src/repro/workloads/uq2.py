@@ -26,10 +26,10 @@ def uq2(
     overlap: float = 0.6,
     seed: int = 0,
 ) -> Workload:
-    region = Relation("region", synth_data.region(spark).cache())
-    nation = Relation("nation", synth_data.nation(spark).cache())
-    supplier = Relation("supplier", synth_data.supplier(spark, sf=sf, seed=seed + 6).cache())
-    partsupp = Relation("partsupp", synth_data.partsupp(spark, sf=sf, seed=seed + 9).cache())
+    region = Relation("region", synth_data.region(spark))
+    nation = Relation("nation", synth_data.nation(spark))
+    supplier = Relation("supplier", synth_data.supplier(spark, sf=sf, seed=seed + 6))
+    partsupp = Relation("partsupp", synth_data.partsupp(spark, sf=sf, seed=seed + 9))
     part_df = synth_data.part(spark, sf=sf, seed=seed + 5).cache()
 
     # p_size ∈ [1, 50]; three windows of width 25, consecutive windows
@@ -42,7 +42,7 @@ def uq2(
     for v, (lo, hi) in enumerate(windows):
         part_v = Relation(
             f"part_{v}",
-            part_df.filter((F.col("p_size") >= lo) & (F.col("p_size") <= hi)).cache(),
+            part_df.filter((F.col("p_size") >= lo) & (F.col("p_size") <= hi)),
         )
         joins.append(
             chain(

@@ -52,14 +52,13 @@ def uq3(
     supplier = Relation(
         "supplier",
         synth_data.supplier(spark, sf=sf, seed=seed + 6)
-        .filter(F.col("s_suppkey") <= N_SUPPLIERS)
-        .cache(),
+        .filter(F.col("s_suppkey") <= N_SUPPLIERS),
     )
     cust_df = synth_data.customer(spark, sf=sf, seed=seed + 2).cache()
     customer = Relation("customer", cust_df)
-    customer_a = Relation("customer_a", cust_df.select("c_custkey", "c_nationkey").cache())
+    customer_a = Relation("customer_a", cust_df.select("c_custkey", "c_nationkey"))
     customer_b = Relation(
-        "customer_b", cust_df.select("c_custkey", "c_acctbal", "c_mktsegment").cache()
+        "customer_b", cust_df.select("c_custkey", "c_acctbal", "c_mktsegment")
     )
     orders_pdf = synth_data.orders(spark, sf=sf, seed=seed + 1).toPandas()
     windows = order_windows(len(orders_pdf), overlap)
@@ -67,7 +66,7 @@ def uq3(
     def orders_rel(v: int) -> Relation:
         lo, hi = windows[v]
         pdf = orders_pdf.iloc[lo:hi].reset_index(drop=True)
-        return Relation(f"orders_{v}", spark.createDataFrame(pdf).cache())
+        return Relation(f"orders_{v}", spark.createDataFrame(pdf))
 
     # J0: genuinely acyclic, non-chain (root with three children).
     o0 = orders_rel(0)

@@ -1,10 +1,10 @@
 """FullJoinUnion ground truth vs pandas brute force and DuckDB."""
-import duckdb
 import pandas as pd
 import pytest
 
+from duckjoin import DuckJoins
 from repro.core.exact import full_join_union, union_tuples
-from repro.core.join_spec import Edge, Join, Node, Relation, chain, reroot
+from repro.core.join_spec import Edge, Join, Node, Relation, chain
 from repro.workloads import uq3
 
 
@@ -87,38 +87,18 @@ def test_stats_consistent_with_koverlap(spark, joins):
 def duckdb_atoms(joins) -> dict:
     """The union's atoms computed by DuckDB, with SQL read off each join
     tree, over the relations' collected frames."""
-    con = duckdb.connect()
-    tables: dict[int, str] = {}
-
-    def table(rel):
-        if id(rel) not in tables:
-            tables[id(rel)] = f"r{len(tables)}"
-            con.register(tables[id(rel)], rel.pdf)
-        return tables[id(rel)]
-
     cols = joins[0].value_cols
-    parts = []
-    for i, j in enumerate(joins):
-        alias = {id(n): f"t{k}" for k, n in enumerate(j.nodes())}
-        owner: dict[str, str] = {}
-        for n in j.nodes():
-            for c in n.relation.cols:
-                owner.setdefault(c, alias[id(n)])
-        select = ", ".join(f'{owner[c]}."{c}" AS "{c}"' for c in cols)
-        tabs = ", ".join(f"{table(n.relation)} {alias[id(n)]}" for n in j.nodes())
-        conds = " AND ".join(
-            f'{alias[id(p)]}."{e.parent_col}" = {alias[id(e.child)]}."{e.child_col}"'
-            for p, e in j.edges()
-        )
-        parts.append(f"SELECT DISTINCT {select}, {1 << i} AS bit FROM {tabs} WHERE {conds}")
     collist = ", ".join(f'"{c}"' for c in cols)
-    try:
-        rows = con.execute(
+    with DuckJoins() as db:
+        parts = []
+        for i, j in enumerate(joins):
+            owner, from_where = db.from_where(j)
+            select = ", ".join(f'{owner[c]} AS "{c}"' for c in cols)
+            parts.append(f"SELECT DISTINCT {select}, {1 << i} AS bit {from_where}")
+        rows = db.con.execute(
             f"SELECT mask, count(*) FROM (SELECT sum(bit) AS mask FROM "
             f"({' UNION ALL '.join(parts)}) GROUP BY {collist}) GROUP BY mask"
         ).fetchall()
-    finally:
-        con.close()
     names = [j.name for j in joins]
     return {frozenset(n for i, n in enumerate(names) if int(m) >> i & 1): c for m, c in rows}
 
@@ -160,8 +140,12 @@ def test_hidden_join_key_matches_duckdb(spark, root):
     joins = []
     for i, (lo, hi) in enumerate([(0, 3), (1, 4)]):
         a2 = _rel(spark, "a2", __rid=list(range(lo, hi)), qa=[10 + r for r in range(lo, hi)])
-        tree = Node(a, [Edge("x", "bx", Node(b)), Edge("__rid", "__rid", Node(a2), fake=True)])
-        joins.append(reroot(Join(f"h{i}", tree), root))
+        split = Edge("__rid", "__rid", Node(a2), fake=True)
+        if root == "a":
+            tree = Node(a, [Edge("x", "bx", Node(b)), split])
+        else:
+            tree = Node(b, [Edge("bx", "x", Node(a, [split]))])
+        joins.append(Join(f"h{i}", tree))
     assert not any(c.startswith("__") for c in joins[0].full_pdf().columns)
     ex = full_join_union(spark, joins)
     assert ex.atoms == duckdb_atoms(joins)

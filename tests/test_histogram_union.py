@@ -51,9 +51,9 @@ def test_theorem4_bound_sound_on_random_workloads(spark, seed):
 def test_single_join_bound_is_size_bound(spark, seed):
     joins = random_chain_workload(spark, seed, n_joins=1)
     view = chain_view(joins[0])
-    from repro.core.weights import exact_size
+    from duckjoin import count
 
-    assert overlap_bound([view]) >= exact_size(joins[0])
+    assert overlap_bound([view]) >= count(joins[0])
 
 
 def test_histogram_warmup_estimate_shape(spark):

@@ -3,6 +3,7 @@ import duckdb
 import pandas as pd
 import pytest
 
+import duckjoin
 from repro.core.join_sampler import JoinContext, SampleStats, sample_join
 from repro.core.join_spec import Relation, chain
 from deadline import deadline
@@ -89,23 +90,34 @@ def test_unknown_method(ctx):
         sample_join({ctx: 1}, method="nope")
 
 
-def test_pandas_dp_matches_spark_dp(ctx):
-    """The plan's vectorized EW weight DP equals the Spark-aggregation
-    reference implementation (repro.core.weights)."""
-    from repro.core.weights import exact_size
+def test_pandas_dp_matches_duckdb(ctx, skewed):
+    """The plan's EW weight of each root row is the number of join rows
+    that extend it, as DuckDB counts them."""
+    join, _ = skewed
+    with duckjoin.DuckJoins() as db:
+        _, from_where = db.from_where(join)
+        per_root = db.con.execute(f"SELECT t0.pa, count(*) AS w {from_where} GROUP BY t0.pa").df()
+    plan = ctx.plan
+    got = pd.Series(plan.root_w, index=plan.root["pa"].to_numpy())
+    assert got.sum() == duckjoin.count(join)
+    assert (got[per_root["pa"]].to_numpy() == per_root["w"].to_numpy()).all()
 
-    assert ctx.size_exact == exact_size(ctx.weighted)
 
-
-def test_olken_plan_matches_spark_reference(ctx):
-    from repro.core.olken import olken_bound
-
-    assert ctx.size_olken == olken_bound(ctx.reduced)
-
-
-def test_reduction_preserves_join(spark, skewed, ctx):
+def test_olken_plan_matches_duckdb(ctx, skewed):
+    """The plan's bound is |R_root| · Π M over the fully reduced relations
+    (the rows DuckDB finds in some join result), and at least COUNT(*)."""
     join, full = skewed
-    got = ctx.reduced.full_pdf()
+    a = full[["x", "pa"]].drop_duplicates()
+    b = full[["bx", "y", "pb"]].drop_duplicates()
+    c = full[["cy", "pc"]].drop_duplicates()
+    bound = len(a) * b["bx"].value_counts().max() * c["cy"].value_counts().max()
+    assert ctx.size_olken == bound >= duckjoin.count(join)
+
+
+def test_reduction_preserves_join(skewed, ctx):
+    """The plan's reduced frames, joined by DuckDB, keep the join's rows."""
+    join, full = skewed
+    got = duckjoin.rows(join, ctx.plan.frames)
     a = got.sort_values(join.value_cols).reset_index(drop=True)[join.value_cols]
     b = (
         full.drop_duplicates()

@@ -1,9 +1,8 @@
-"""Join model: composition, chains, trees, rerooting, invariants."""
+"""Join model: composition, chains, trees, invariants."""
 import pandas as pd
 import pytest
 
-from repro.core.join_spec import Edge, Join, Node, Relation, chain, reroot
-from repro.core.weights import exact_size
+from repro.core.join_spec import Edge, Join, Node, Relation, chain
 
 
 @pytest.fixture(scope="module")
@@ -65,29 +64,14 @@ def test_tree_not_chain(rels):
 
 
 def test_tree_full_df_equals_chain_full_df(spark, rels):
-    """A join tree is order-independent: rerooted trees produce the same
-    result set."""
+    """A join tree is order-independent: the chain a–b–c rooted at b
+    produces the same result set."""
     a, b, c = rels
     jc = chain("jc", [a, b, c], [("x", "bx"), ("y", "cy")])
-    jr = reroot(jc, "b")
-    assert jr.root.relation.name == "b"
+    jr = Join("jr", Node(b, [Edge("bx", "x", Node(a)), Edge("y", "cy", Node(c))]))
     got = jr.full_pdf().sort_values(jc.value_cols).reset_index(drop=True)
     want = jc.full_pdf().sort_values(jc.value_cols).reset_index(drop=True)
     pd.testing.assert_frame_equal(got[sorted(got.columns)], want[sorted(want.columns)])
-
-
-def test_reroot_preserves_size(spark, rels):
-    a, b, c = rels
-    jc = chain("jc", [a, b, c], [("x", "bx"), ("y", "cy")])
-    for name in ("a", "b", "c"):
-        assert exact_size(reroot(jc, name)) == exact_size(jc)
-
-
-def test_reroot_unknown_relation(rels):
-    a, b, c = rels
-    jc = chain("jc", [a, b, c], [("x", "bx"), ("y", "cy")])
-    with pytest.raises(KeyError):
-        reroot(jc, "nope")
 
 
 def test_chain_bad_cond_count(rels):

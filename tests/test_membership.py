@@ -1,9 +1,10 @@
-"""Membership oracle: the exact index vs the semijoin reference path."""
+"""Membership index: exact against DuckDB's ``EXISTS`` membership."""
 import pandas as pd
 import pytest
 
-from repro.core.membership import MembershipIndex, member_ids, membership_matrix, min_join_index
-from repro.core.join_spec import Relation, chain
+import duckjoin
+from repro.core.join_spec import Edge, Join, Node, Relation, chain
+from repro.core.membership import MembershipIndex, first_join
 
 
 @pytest.fixture(scope="module")
@@ -28,38 +29,29 @@ def candidates(spark, two_joins):
     return pd.concat([u, extra], ignore_index=True)
 
 
-def test_reference_vs_index(spark, two_joins, candidates):
+def test_reference_vs_index(two_joins, candidates):
+    """The index agrees with the reference, DuckDB's membership matrix."""
     j1, j2 = two_joins
-    idx = MembershipIndex([j1, j2])
-    m_idx = idx.matrix(candidates)
-    m_ref = membership_matrix(spark, candidates, [j1, j2])
-    assert (m_idx == m_ref).all()
+    m_idx = MembershipIndex([j1, j2]).matrix(candidates)
+    assert (m_idx == duckjoin.members(candidates, [j1, j2])).all()
 
 
-def test_condition_violation_rejected(spark, two_joins, candidates):
+def test_condition_violation_rejected(two_joins, candidates):
     j1, j2 = two_joins
     # last row has x=2 but bx=3: parts exist, the x=bx invariant fails
-    m = membership_matrix(spark, candidates, [j1, j2])
-    assert not m[len(candidates) - 1].any()
-    assert not m[len(candidates) - 2].any()  # fabricated tuple in no join
+    for m in (MembershipIndex([j1, j2]).matrix(candidates), duckjoin.members(candidates, [j1, j2])):
+        assert not m[len(candidates) - 1].any()
+        assert not m[len(candidates) - 2].any()  # fabricated tuple in no join
 
 
-def test_min_join_index_first_wins(spark, two_joins, candidates):
+def test_min_join_index_first_wins(two_joins, candidates):
     j1, j2 = two_joins
-    idx = MembershipIndex([j1, j2])
-    f_idx = idx.min_index(candidates)
-    f_ref = min_join_index(spark, candidates, [j1, j2])
-    assert (f_idx == f_ref).all()
+    f_idx = MembershipIndex([j1, j2]).min_index(candidates)
+    assert (f_idx == first_join(duckjoin.members(candidates, [j1, j2]))).all()
     # tuple (2, 2.5, 2, 'n') is in both joins → assigned to index 0
     both = candidates[(candidates["x"] == 2) & (candidates["bx"] == 2)]
     assert (f_idx[both.index] == 0).all()
     assert f_idx[len(candidates) - 1] == -1
-
-
-def test_member_ids_sorted(spark, two_joins, candidates):
-    j1, _ = two_joins
-    ids = member_ids(spark, candidates, j1)
-    assert list(ids) == sorted(ids)
 
 
 def test_float_and_string_columns_roundtrip(spark, two_joins):
@@ -69,3 +61,31 @@ def test_float_and_string_columns_roundtrip(spark, two_joins):
     own = j1.full_pdf()
     m = idx.matrix(own)
     assert m[:, 0].all()
+
+
+def _rel(spark, name, **cols):
+    return Relation(name, spark.createDataFrame(pd.DataFrame(cols)))
+
+
+def test_hidden_key_split_is_one_unit(spark):
+    """Halves of different rows of a split on a hidden ``__rid`` do not
+    pass together: the join holds (1, 10) and (2, 20), not (1, 20)."""
+    left = _rel(spark, "l", __rid=[0, 1], c1=[1, 2])
+    right = _rel(spark, "r", __rid=[0, 1], c2=[10, 20])
+    join = Join("split", Node(left, [Edge("__rid", "__rid", Node(right), fake=True)]))
+    cands = pd.DataFrame({"c1": [1, 1, 2, 2], "c2": [10, 20, 10, 20]})
+    m = MembershipIndex([join]).matrix(cands)
+    assert (m == duckjoin.members(cands, [join])).all()
+    assert m[:, 0].tolist() == [True, False, False, True]
+
+
+def test_null_join_key_is_not_a_member(spark):
+    """A row with a null join key joins nothing, on a USING edge too:
+    l(k, pl) ⋈ r(k, pr) over {(1, 0), (null, 1)} and {(1, 5), (null, 6)}
+    holds only (1, 0, 5)."""
+    k = pd.array([1, None], dtype="Int64")
+    join = chain("nk", [_rel(spark, "l", k=k, pl=[0, 1]), _rel(spark, "r", k=k, pr=[5, 6])], [("k", "k")])
+    cands = pd.DataFrame({"k": pd.array([1, None, 1], dtype="Int64"), "pl": [0, 1, 1], "pr": [5, 6, 6]})
+    m = MembershipIndex([join]).matrix(cands)
+    assert (m == duckjoin.members(cands, [join])).all()
+    assert m[:, 0].tolist() == [True, False, False]

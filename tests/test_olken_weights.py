@@ -1,13 +1,14 @@
-"""Spark reference implementations: extended Olken bound, Yannakakis
-reduction, and the EW weight DP — on randomized chains and trees."""
-import duckdb
+"""The walk plan's Exact-Weight size, Extended Olken bound and Yannakakis
+reduction, checked against DuckDB on randomized chains and trees."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
 
+import duckjoin
+from repro.core.join_sampler import JoinContext
 from repro.core.join_spec import Edge, Join, Node, Relation, chain
-from repro.core.olken import olken_bound, reduce_join
-from repro.core.weights import exact_size, weighted_join
 
 
 def random_chain(spark, seed, n_rel=3, fanout=6):
@@ -24,45 +25,36 @@ def random_chain(spark, seed, n_rel=3, fanout=6):
     return chain(f"rc{seed}", rels, conds)
 
 
-def duck_size(join):
-    rels = join.relations()
-    frames = {r.name: r.df.toPandas() for r in rels}
-    con = duckdb.connect()
-    for name, f in frames.items():
-        con.register(name, f)
-    _, edges = join.as_chain()
-    sql = f"select count(*) c from {rels[0].name}"
-    prev = rels[0].name
-    for e, r in zip(edges, rels[1:]):
-        sql += f" join {r.name} on {prev}.{e.parent_col} = {r.name}.{e.child_col}"
-        prev = r.name
-    out = con.execute(sql).fetchone()[0]
-    con.close()
-    return out
+def unreduced_olken(join) -> int:
+    """|R_root| · Π M over the relations as given, before any reduction."""
+    return len(join.root.relation.pdf) * math.prod(
+        int(e.child.relation.pdf[e.child_col].value_counts().max()) for _, e in join.edges()
+    )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_exact_size_random_chains(spark, seed):
     j = random_chain(spark, seed)
-    assert exact_size(j) == duck_size(j)
+    assert JoinContext(j).size_exact == duckjoin.count(j)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_olken_bound_random_chains(spark, seed):
     j = random_chain(spark, seed)
-    assert olken_bound(j) >= duck_size(j)
+    assert JoinContext(j).size_olken >= duckjoin.count(j)
 
 
 @pytest.mark.parametrize("seed", [0, 2])
 def test_reduction_tightens_olken(spark, seed):
     j = random_chain(spark, seed)
-    assert olken_bound(reduce_join(j, cache=False)) <= olken_bound(j)
+    assert JoinContext(j).size_olken <= unreduced_olken(j)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_reduction_preserves_size(spark, seed):
+    """The plan's reduced frames, joined by DuckDB, give the join's size."""
     j = random_chain(spark, seed)
-    assert exact_size(reduce_join(j, cache=False)) == exact_size(j)
+    assert duckjoin.count(j, JoinContext(j).plan.frames) == duckjoin.count(j)
 
 
 def test_tree_weights(spark):
@@ -80,18 +72,13 @@ def test_tree_weights(spark):
         .merge(r_pdf, left_on="m", right_on="rm")
         .shape[0]
     )
-    assert exact_size(j) == expect
-
-
-def test_weighted_join_idempotent_size(spark):
-    j = random_chain(spark, 9)
-    wj = weighted_join(j, cache=False)
-    assert exact_size(wj) == exact_size(j)
+    assert JoinContext(j).size_exact == expect == duckjoin.count(j)
 
 
 def test_zero_result_join(spark):
     a = Relation("a", spark.createDataFrame(pd.DataFrame({"x": [1, 2]})))
     b = Relation("b", spark.createDataFrame(pd.DataFrame({"bx": [5, 6], "p": [0, 1]})))
     j = chain("z", [a, b], [("x", "bx")])
-    assert exact_size(j) == 0
-    assert olken_bound(reduce_join(j, cache=False)) == 0
+    ctx = JoinContext(j)
+    assert ctx.size_exact == 0 == duckjoin.count(j)
+    assert ctx.size_olken == 0

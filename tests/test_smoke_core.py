@@ -2,14 +2,13 @@
 import pandas as pd
 import pytest
 
+import duckjoin
 from repro.core.exact import full_join_union
 from repro.core.join_sampler import JoinContext, sample_join
 from repro.core.join_spec import Relation, chain
-from repro.core.membership import min_join_index
-from repro.core.olken import olken_bound
+from repro.core.membership import MembershipIndex, first_join
 from repro.core.randomwalk_union import RWState
 from repro.core.walker import WalkRequest, run_walks
-from repro.core.weights import exact_size, weighted_join
 
 
 @pytest.fixture(scope="module")
@@ -29,16 +28,15 @@ def tiny(spark):
 
 def test_exact_size_matches_duckdb(spark, tiny):
     # r⋈s on a=b: a=1 matches b∈{1,1} → 2 rows each of the two a=1 rows; a=2 → 2
-    assert exact_size(tiny) == 2 * 2 + 1 * 2
+    assert duckjoin.count(tiny) == JoinContext(tiny).size_exact == 2 * 2 + 1 * 2
 
 
 def test_olken_bound_sound(spark, tiny):
-    assert olken_bound(tiny) >= exact_size(tiny)
+    assert JoinContext(tiny).size_olken >= duckjoin.count(tiny)
 
 
 def test_walker_ew_uniform(spark, tiny):
-    wj = weighted_join(tiny)
-    request = WalkRequest(wj, 600, "ew", exact_size(tiny))
+    request = WalkRequest(tiny, 600, "ew", duckjoin.count(tiny))
     res = run_walks([request], seed=1).results[0]
     assert res.n_failed == 0
     counts = res.pdf.groupby(["a", "x", "y"]).size()
@@ -49,7 +47,7 @@ def test_walker_ew_uniform(spark, tiny):
 def test_walker_uniform_ht(spark, tiny):
     res = run_walks([WalkRequest(tiny, 800, "uniform")], seed=2).results[0]
     est = RWState(pools={"j1": res.pdf}, n_failed={"j1": res.n_failed}).ht_size("j1")
-    assert est == pytest.approx(exact_size(tiny), rel=0.3)
+    assert est == pytest.approx(duckjoin.count(tiny), rel=0.3)
 
 
 def test_sample_join_eo(spark, tiny):
@@ -74,5 +72,6 @@ def test_full_join_union_and_membership(spark, tiny):
     assert ex.overlap(frozenset(["j1", "j2"])) == 2
     assert ex.union == 6
     cands = tiny.full_pdf()
-    f = min_join_index(spark, cands, [tiny, j2])
+    f = first_join(duckjoin.members(cands, [tiny, j2]))
     assert set(f) == {0}  # j1 first in order, contains everything it produced
+    assert (MembershipIndex([tiny, j2]).min_index(cands) == f).all()

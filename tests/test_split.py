@@ -59,11 +59,11 @@ def test_min_over_templates_tighter(spark, w3, exact3):
 
 
 def test_single_join_bound_covers_size(spark, w3):
-    from repro.core.weights import exact_size
+    from duckjoin import count
 
     j = w3.joins[1]
     views, t = split_views([j])
-    assert overlap_bound(views) >= exact_size(j) - 1e-6
+    assert overlap_bound(views) >= count(j) - 1e-6
 
 
 def test_closure_propagates_conditions(w3):

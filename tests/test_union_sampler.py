@@ -252,3 +252,21 @@ def test_union_with_empty_join_returns_n(spark, tri_union, empty_size):
         res = set_union_sample(u, 300, warmup=est, seed=21)
     assert len(res.samples) == 300
     assert res.per_join_accepted["empty"] == 0
+
+
+def test_short_return_says_incomplete(spark):
+    """u1 ⊂ u0: u1's cover is empty, but the RANDOM-WALK estimate gives it
+    slots, so max_rounds runs out before N; the result says so. With the
+    HISTOGRAM-BASED estimate the call finishes and says that too."""
+    g = np.random.default_rng(1)
+    a = pd.DataFrame({"x": g.integers(1, 25, 120), "pa": np.arange(120)})
+    b = Relation("b", spark.createDataFrame(pd.DataFrame({"bx": np.arange(1, 25), "pb": np.arange(24)})))
+    joins = [
+        chain(f"u{i}", [Relation("a", spark.createDataFrame(a.iloc[:hi])), b], [("x", "bx")])
+        for i, hi in enumerate([120, 60])
+    ]
+    u = UnionContext(spark, joins)
+    short = set_union_sample(u, 50, warmup="rw", seed=4, max_rounds=10)
+    assert len(short.samples) < 50 and short.complete is False
+    full = set_union_sample(u, 50, warmup="hist-ew", seed=4, max_rounds=10)
+    assert len(full.samples) == 50 and full.complete is True

@@ -7,7 +7,7 @@ import pytest
 from repro.core.join_spec import Relation, chain
 from repro.core.randomwalk_union import RWState
 from repro.core.walker import DPROD, P, WalkRequest, _walk_plan, run_walks
-from repro.core.weights import exact_size, weighted_join
+from duckjoin import count
 from statutil import assert_uniform
 
 
@@ -34,20 +34,18 @@ def abc_full(spark, abc):
 
 
 def test_exact_size(abc, abc_full):
-    assert exact_size(abc) == len(abc_full)
+    assert count(abc) == len(abc_full)
 
 
 def test_ew_walks_uniform(spark, abc, abc_full):
-    wj = weighted_join(abc)
-    res = run_walks([WalkRequest(wj, 4000, "ew")], seed=7).results[0]
+    res = run_walks([WalkRequest(abc, 4000, "ew")], seed=7).results[0]
     assert res.n_failed == 0
     assert_uniform(res.pdf, abc_full, abc.value_cols)
 
 
 def test_ew_p_is_inverse_size(spark, abc):
-    wj = weighted_join(abc)
-    res = run_walks([WalkRequest(wj, 50, "ew")], seed=1).results[0]
-    assert np.allclose(res.pdf[P], 1.0 / exact_size(abc))
+    res = run_walks([WalkRequest(abc, 50, "ew")], seed=1).results[0]
+    assert np.allclose(res.pdf[P], 1.0 / count(abc))
 
 
 def test_uniform_walk_p_matches_frequency(spark, abc):
@@ -92,7 +90,7 @@ def test_uniform_walks_never_dead_end(spark, abc):
 def test_ht_estimate_converges(spark, abc):
     res = run_walks([WalkRequest(abc, 20000, "uniform")], seed=11).results[0]
     state = RWState(pools={"abc": res.pdf}, n_failed={"abc": res.n_failed})
-    assert state.ht_size("abc") == pytest.approx(exact_size(abc), rel=0.1)
+    assert state.ht_size("abc") == pytest.approx(count(abc), rel=0.1)
 
 
 def test_dprod_tracked(spark, abc):
@@ -103,9 +101,8 @@ def test_dprod_tracked(spark, abc):
 
 
 def test_walks_deterministic_in_seed(spark, abc):
-    wj = weighted_join(abc)
-    r1 = run_walks([WalkRequest(wj, 100, "ew")], seed=42).results[0]
-    r2 = run_walks([WalkRequest(wj, 100, "ew")], seed=42).results[0]
+    r1 = run_walks([WalkRequest(abc, 100, "ew")], seed=42).results[0]
+    r2 = run_walks([WalkRequest(abc, 100, "ew")], seed=42).results[0]
     pd.testing.assert_frame_equal(
         r1.pdf.sort_values(abc.value_cols).reset_index(drop=True),
         r2.pdf.sort_values(abc.value_cols).reset_index(drop=True),

@@ -3,8 +3,8 @@ from itertools import combinations
 
 import pytest
 
+from duckjoin import count
 from repro.core.exact import full_join_union
-from repro.core.weights import exact_size
 from repro.workloads import uq1, uq2, uq3
 from repro.workloads.base import (
     Tier,
@@ -98,7 +98,7 @@ def test_uq2_sizes_are_filtered_partsupp_counts(spark):
         part = j.relations()[-1].df
         ps = j.relations()[-2].df
         n = ps.join(part, ps["ps_partkey"] == part["p_partkey"]).count()
-        assert exact_size(j) == n
+        assert count(j) == n
 
 
 def test_uq3_schema_aligned(spark):
