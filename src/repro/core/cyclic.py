@@ -12,7 +12,7 @@ with the residual, pick one of its d matches uniformly and accept with
 d / M(S_R), where M(S_R) is the residual's maximum degree on the link
 columns — every full result then has probability 1/(|J_skel| · M(S_R)).
 Both the walks and the residual join run on the driver, over the
-relations' collected frames.
+relations' frames.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from .join_spec import Join, Relation, inner_join
 from .walker import WalkRequest, _walk_plan, run_walks
@@ -67,9 +66,7 @@ class CyclicJoin:
         return df[self.value_cols].drop_duplicates(ignore_index=True)
 
 
-def sample_cyclic(
-    spark: SparkSession, cj: CyclicJoin, n: int, *, seed: int = 0
-) -> pd.DataFrame:
+def sample_cyclic(cj: CyclicJoin, n: int, *, seed: int = 0) -> pd.DataFrame:
     """Exactly ``n`` i.i.d. uniform tuples from the cyclic join result.
     Raises ``ValueError`` if the cyclic join is empty."""
     rng = np.random.default_rng(seed)

@@ -1,6 +1,6 @@
 """FullJoinUnion ground truth (the paper's expensive baseline, Fig 4c/d).
 
-Materializes every join on the driver from its collected relations
+Materializes every join on the driver from its relations' frames
 (:meth:`Join.full_pdf <repro.core.join_spec.Join.full_pdf>`, no Spark job),
 unions them, and derives in one grouping pass the *atom counts*: for each
 distinct output tuple, the exact set of joins containing it. All exact
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from .join_spec import Join
 from .koverlap import exact_stats_from_atoms, overlap_fn_from_atoms
@@ -58,8 +57,11 @@ class ExactUnion:
         return {j: s / u for j, s in self.sizes.items()}
 
 
-def full_join_union(spark: SparkSession, joins: list[Join]) -> ExactUnion:
+def full_join_union(spark, joins: list[Join]) -> ExactUnion:
     """Materialize all joins and compute atom counts.
+
+    ``spark`` is unused: every join is built on the driver. It stays
+    because the benchmark's FullJoinUnion operation passes it.
 
     Each join's distinct result is tagged with its bit ``1 << i``; the
     union is grouped by the full tuple value (nulls group together, as in
@@ -82,7 +84,7 @@ def full_join_union(spark: SparkSession, joins: list[Join]) -> ExactUnion:
     return ExactUnion(names=names, atoms=atoms)
 
 
-def union_tuples(spark: SparkSession, joins: list[Join]) -> pd.DataFrame:
+def union_tuples(joins: list[Join]) -> pd.DataFrame:
     """The distinct set-union result itself (for sampler uniformity tests)."""
     union = pd.concat([j.full_pdf() for j in joins], ignore_index=True)
     return union.drop_duplicates(ignore_index=True)

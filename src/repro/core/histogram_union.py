@@ -90,7 +90,7 @@ def overlap_bound(views: list[ChainStatsView]) -> float:
     n_stages = {len(v.ms) for v in views}
     if len(n_stages) != 1:
         raise ValueError("views must be aligned to the same number of stages")
-    # K(1) = Σ_v min_j pairs_j(v): inner alignment of the collected
+    # K(1) = Σ_v min_j pairs_j(v): inner alignment of the
     # per-value histograms (values missing from any join contribute 0).
     merged = pd.concat([v.pair_series() for v in views], axis=1, join="inner")
     k = float(merged.min(axis=1).sum()) if len(merged) else 0.0

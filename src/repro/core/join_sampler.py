@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from . import walker
 from .join_spec import Join
@@ -40,7 +39,7 @@ class SampleStats:
 
 class JoinContext:
     """Per-join artifacts, all read off the walk plan: the one-time
-    collected, reduced and EW-weighted index of the join, cached by
+    reduced and EW-weighted index of the join, cached by
     :func:`repro.core.walker._walk_plan`."""
 
     def __init__(self, join: Join):
@@ -164,7 +163,6 @@ def sample_join(
 class UnionContext:
     """Contexts for every join of a union workload, keyed by join name."""
 
-    spark: SparkSession
     joins: list[Join]
     contexts: dict[str, JoinContext] = field(default_factory=dict)
     _membership = None

@@ -1,9 +1,12 @@
 """Join descriptions: relations, rooted join trees, chains, and composition.
 
-A join is a rooted tree of relations (a *chain* join is a path). Every
-relation's DataFrame already carries the standardized output column names, so
-the set union of joins is well-defined on the concatenation of column values
-(§2 of the paper: all joins have the same output schema).
+A relation is a pandas frame on the driver, as the data generators return
+it; walk plans, membership indexes, statistics and FullJoinUnion all read
+that one copy. A join is a rooted tree of relations (a *chain* join is a
+path). Every relation's frame already carries the standardized output
+column names, so the set union of joins is well-defined on the
+concatenation of column values (§2 of the paper: all joins have the same
+output schema).
 
 Conventions
 -----------
@@ -21,31 +24,29 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import pandas as pd
-from pyspark.sql import DataFrame
 
 
-def visible_cols(df: DataFrame) -> list[str]:
-    """Value columns of a relation (hidden ``__`` columns excluded)."""
-    return [c for c in df.columns if not c.startswith("__")]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Relation:
-    """A named base relation with standardized output column names."""
+    """A named base relation with standardized output column names: the
+    frame ``pdf`` is the relation itself. Relations compare by identity, so
+    they can key the membership index's dicts."""
 
     name: str
-    df: DataFrame
+    pdf: pd.DataFrame
 
     @property
     def cols(self) -> list[str]:
-        return visible_cols(self.df)
+        """Value columns (hidden ``__`` columns excluded)."""
+        return [c for c in self.pdf.columns if not c.startswith("__")]
 
     @cached_property
-    def pdf(self) -> pd.DataFrame:
-        """The relation collected to the driver, once: the one copy that
-        walk plans and membership indexes read (a relation shared by
-        several joins is collected once)."""
-        return self.df.toPandas()
+    def df(self):
+        """A Spark view of :attr:`pdf`, built on first read. No sampling or
+        estimation path reads it; it serves checks that compare with Spark."""
+        from pyspark.sql import SparkSession
+
+        return SparkSession.active().createDataFrame(self.pdf)
 
     @cached_property
     def _degrees(self) -> dict[str, pd.Series]:
@@ -149,7 +150,7 @@ class Join:
     # ---- composition ---------------------------------------------------
     def full_pdf(self) -> pd.DataFrame:
         """The full join result, distinct, materialized on the driver from
-        the collected relations (ground truth / baseline only).
+        the relations' frames (ground truth / baseline only).
 
         The sampling path never calls this; it exists for the
         FullJoinUnion baseline and the correctness oracle. A hidden column
@@ -171,28 +172,27 @@ class Join:
                 return n
         raise KeyError(f"attribute {col} not in join {self.name}")
 
-    def tree_distance(self, a: str, b: str) -> int:
-        """Number of join edges between the relations holding ``a``, ``b``."""
-        na, nb = self.node_of_attr(a), self.node_of_attr(b)
-        if na is nb:
-            return 0
-        parent: dict[int, Node] = {}
-        for p, e in self.edges():
-            parent[id(e.child)] = p
+    def path(self, na: Node, nb: Node) -> list[Node]:
+        """Nodes on the tree path from ``na`` to ``nb`` (both included)."""
+        parent = {id(e.child): p for p, e in self.edges()}
 
-        def path_to_root(n: Node) -> list[Node]:
+        def up(n: Node) -> list[Node]:
             out = [n]
             while id(n) in parent:
                 n = parent[id(n)]
                 out.append(n)
             return out
 
-        pa, pb = path_to_root(na), path_to_root(nb)
-        ids_a = {id(n): i for i, n in enumerate(pa)}
-        for j, n in enumerate(pb):
+        ca, cb = up(na), up(nb)
+        ids_a = {id(n): i for i, n in enumerate(ca)}
+        for i, n in enumerate(cb):
             if id(n) in ids_a:
-                return ids_a[id(n)] + j
+                return ca[: ids_a[id(n)] + 1] + cb[:i][::-1]
         raise RuntimeError("disconnected join tree")
+
+    def tree_distance(self, a: str, b: str) -> int:
+        """Number of join edges between the relations holding ``a``, ``b``."""
+        return len(self.path(self.node_of_attr(a), self.node_of_attr(b))) - 1
 
     # ---- internals -------------------------------------------------------
     def _check_collisions(self) -> None:
@@ -201,7 +201,7 @@ class Join:
             e.parent_col for _, e in self.edges() if e.parent_col == e.child_col
         }
         for r in self.relations():
-            for c in r.df.columns:
+            for c in r.pdf.columns:
                 # Hidden split row ids are keyed explicitly at composition time.
                 if c.startswith("__"):
                     continue

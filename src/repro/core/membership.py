@@ -14,7 +14,7 @@ output schema), (a) + (b) is an exact membership test, given two rules:
 
 :class:`MembershipIndex` is the analogue of the paper's in-memory hash
 tables over relations: the distinct rows of each unit, indexed once from
-the relations' collected frames, so a probe is an exact lookup of each
+the relations' frames, so a probe is an exact lookup of each
 candidate's projection on the driver, with no Spark job.
 """
 from __future__ import annotations

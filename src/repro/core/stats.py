@@ -4,7 +4,7 @@ These are the "histograms DBMSs already maintain" of §5: per-value degree
 histograms of join attributes, their maxima and averages. Each histogram
 is built once per relation and column on the driver
 (:meth:`Relation.degrees <repro.core.join_spec.Relation.degrees>`, over the
-collected frame), so no statistic starts a Spark job and nothing
+relation's frame), so no statistic starts a Spark job and nothing
 materializes a join.
 
 Null semantics are SQL's: a null value is one group of its own in a

@@ -66,7 +66,7 @@ def warmup_params(
         est, _ = randomwalk_warmup(uctx, seed=seed, **kw)
         return est
     if method == "exact":
-        ex = full_join_union(uctx.spark, uctx.joins)
+        ex = full_join_union(None, uctx.joins)
         overlaps = {}
         names = uctx.names
         from itertools import combinations

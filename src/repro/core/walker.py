@@ -1,8 +1,8 @@
 """Batched random walks over the join data graph (§6.1, wander join).
 
-Walks run on the driver, against each join's walk plan: its relations,
-collected once (:attr:`Relation.pdf <repro.core.join_spec.Relation.pdf>`),
-fully reduced, EW-weighted and sorted by their join columns — the paper's
+Walks run on the driver, against each join's walk plan: its relations'
+frames (:attr:`Relation.pdf <repro.core.join_spec.Relation.pdf>`), fully
+reduced, EW-weighted and sorted by their join columns — the paper's
 in-memory hash indexes. All walks of one request advance together, one
 vectorized ``searchsorted`` lookup per join edge:
 
@@ -82,11 +82,11 @@ _plans: weakref.WeakKeyDictionary[Join, WalkPlan] = weakref.WeakKeyDictionary()
 
 
 def _walk_plan(join: Join) -> WalkPlan:
-    """Reduce, weight and sort the join's collected relations, once per
+    """Reduce, weight and sort the join's relations, once per
     join — the one-time "index construction" of the paper's framework
     (their hash tables). The full (Yannakakis) reduction, the EW weight
     DP and each edge's max degree (the Olken bound's M) run vectorized on
-    the collected data; this is their one implementation, and tests check
+    the relations' frames; this is their one implementation, and tests check
     it against DuckDB.
     """
     cached = _plans.get(join)

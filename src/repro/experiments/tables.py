@@ -41,9 +41,9 @@ def prewarm(uctx: UnionContext) -> None:
     """Materialize all per-join indexes so later timings are steady-state."""
     for name in uctx.names:
         ctx = uctx.ctx(name)
-        ctx.plan  # collect + reduce + weight + sort the join index
+        ctx.plan  # reduce + weight + sort the join index
         ctx.size_olken
-    uctx.membership  # index the collected relations for membership probes
+    uctx.membership  # index the relations for membership probes
 
 
 def _hist_estimate(w: Workload, size_method: str = "eo"):
@@ -114,17 +114,10 @@ def t2_union_size_runtime(
     overlaps: tuple = (0.1, 0.2, 0.4, 0.8),
     workloads: tuple = ("uq1", "uq3"),
 ) -> list[dict]:
-    """Both methods read the relations' collected frames, so every relation
-    is collected before either is timed (``collect_seconds``)."""
     rows = []
     for wname in workloads:
         for ov in overlaps:
             w = build(spark, wname, sf=sf, overlap=ov)
-            rels = list({id(r): r for j in w.joins for r in j.relations()}.values())
-            t0 = time.perf_counter()
-            for r in rels:
-                r.pdf
-            t_collect = time.perf_counter() - t0
             t0 = time.perf_counter()
             est = _hist_estimate(w)
             t_hist = time.perf_counter() - t0
@@ -135,7 +128,6 @@ def t2_union_size_runtime(
                 {
                     "workload": wname,
                     "overlap": ov,
-                    "collect_seconds": t_collect,
                     "hist_seconds": t_hist,
                     "fulljoin_seconds": t_full,
                     "hist_union_est": est.union,

@@ -64,65 +64,29 @@ def _closure(join: Join, attrs: set[str]) -> set[str]:
     return out
 
 
-def _parents(join: Join) -> dict[int, tuple[Node, float]]:
-    return {id(e.child): (p, e) for p, e in join.edges()}
-
-
-def _path_nodes(join: Join, na: Node, nb: Node) -> list[Node]:
-    """Nodes on the tree path between na and nb (inclusive)."""
-    parent = {id(e.child): p for p, e in join.edges()}
-
-    def up(n: Node) -> list[Node]:
-        out = [n]
-        while id(n) in parent:
-            n = parent[id(n)]
-            out.append(n)
-        return out
-
-    ca, cb = up(na), up(nb)
-    ids_a = {id(n): i for i, n in enumerate(ca)}
-    for i, n in enumerate(cb):
-        if id(n) in ids_a:
-            return ca[: ids_a[id(n)] + 1] + cb[:i][::-1]
-    raise RuntimeError("disconnected join tree")
-
-
 def _path_mprod(join: Join, na: Node, nb: Node, refine: str) -> float:
     """Π of per-edge attachment degrees along the na→nb tree path.
 
     Traversal direction matters: following an edge parent→child charges
     deg(child, child_col) — how many child rows one parent row reaches —
     while child→parent charges deg(parent, parent_col). Fake edges are
-    1:1 both ways.
+    1:1 both ways. The climbing factors are multiplied first, from ``na``
+    up, then the descending ones, from ``nb`` up.
     """
-    if na is nb:
-        return 1.0
-    parent: dict[int, tuple[Node, float, float]] = {}
-    for p, e in join.edges():
-        m_down = 1.0 if e.fake else _deg(e.child.relation, e.child_col, refine)
-        m_up = 1.0 if e.fake else _deg(p.relation, e.parent_col, refine)
-        parent[id(e.child)] = (p, m_down, m_up)
-
-    def up(n: Node):
-        out = [(n, 1.0, 1.0)]
-        while id(n) in parent:
-            p, m_down, m_up = parent[id(n)]
-            out.append((p, m_down, m_up))
-            n = p
-        return out
-
-    ca, cb = up(na), up(nb)
-    ids_a = {id(n): i for i, (n, _, _) in enumerate(ca)}
-    for i, (n, _, _) in enumerate(cb):
-        if id(n) in ids_a:
-            lca = ids_a[id(n)]
-            prod = 1.0
-            for k in range(1, lca + 1):
-                prod *= ca[k][2]  # climbing up: parent-side degree
-            for k in range(1, i + 1):
-                prod *= cb[k][1]  # descending: child-side degree
-            return prod
-    raise RuntimeError("disconnected join tree")
+    up = {id(e.child): (p, e) for p, e in join.edges()}
+    climb, descend = [], []
+    path = join.path(na, nb)
+    for n, m in zip(path, path[1:]):
+        if id(n) in up and up[id(n)][0] is m:
+            e = up[id(n)][1]
+            climb.append(1.0 if e.fake else _deg(m.relation, e.parent_col, refine))
+        else:
+            e = up[id(m)][1]
+            descend.append(1.0 if e.fake else _deg(m.relation, e.child_col, refine))
+    prod = 1.0
+    for f in climb + descend[::-1]:
+        prod *= f
+    return prod
 
 
 def _first_pair(join: Join, a1: str, a2: str, refine: str) -> pd.Series:
@@ -173,7 +137,7 @@ def _first_pair_charged(join: Join, a1: str, a2: str) -> set[int]:
             y == a1 and x in n2.relation.cols
         ):
             return {id(n1), id(n2)}  # degree product charges both
-    return {id(n) for n in _path_nodes(join, n1, n2)}  # path fallback
+    return {id(n) for n in join.path(n1, n2)}  # path fallback
 
 
 def split_view(join: Join, template: list[str], refine: str = "max") -> ChainStatsView:
@@ -214,7 +178,7 @@ def split_view(join: Join, template: list[str], refine: str = "max") -> ChainSta
                             if local < cap:
                                 cap = local
                                 charge = {
-                                    id(n) for n in _path_nodes(join, n_from, nc)
+                                    id(n) for n in join.path(n_from, nc)
                                 }
             if cap == float("inf"):
                 # no structural link yet: charge the relation outright

@@ -1,12 +1,12 @@
 """Synthetic OLAP data at a configurable scale factor.
 
 SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-benchmarks use SF~=0.1. Generators are deterministic in ``seed`` so the
-DuckDB oracle sees identical input.
+benchmarks use SF~=0.1. Each generator returns a pandas frame, which the
+workloads wrap as a relation as it is; generators are deterministic in
+``seed`` so the DuckDB oracle sees identical input.
 """
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 _N_LINEITEM_PER_SF = 6_000_000
 _N_ORDERS_PER_SF = 1_500_000
@@ -39,13 +39,13 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
+def lineitem(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
     n = max(1, int(_N_LINEITEM_PER_SF * sf))
     n_orders = max(1, int(_N_ORDERS_PER_SF * sf))
     n_part = max(1, int(_N_PART_PER_SF * sf))
     n_supp = max(1, int(_N_SUPPLIER_PER_SF * sf))
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "l_orderkey": g.integers(1, n_orders + 1, n),
             "l_partkey": g.integers(1, n_part + 1, n),
@@ -61,14 +61,13 @@ def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFra
             + pd.to_timedelta(g.integers(0, 2557, n), unit="D"),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
-def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame:
+def orders(*, sf: float = 0.01, seed: int = 1) -> pd.DataFrame:
     n = max(1, int(_N_ORDERS_PER_SF * sf))
     n_cust = max(1, int(_N_CUSTOMER_PER_SF * sf))
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "o_orderkey": np.arange(1, n + 1),
             "o_custkey": g.integers(1, n_cust + 1, n),
@@ -81,13 +80,12 @@ def orders(spark: SparkSession, *, sf: float = 0.01, seed: int = 1) -> DataFrame
             ),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
-def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
+def part(*, sf: float = 0.01, seed: int = 5) -> pd.DataFrame:
     n = max(1, int(_N_PART_PER_SF * sf))
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "p_partkey": np.arange(1, n + 1),
             "p_type": g.choice(
@@ -98,13 +96,12 @@ def part(spark: SparkSession, *, sf: float = 0.01, seed: int = 5) -> DataFrame:
             "p_retailprice": (900 + (np.arange(1, n + 1) % 1000) / 10.0).round(2),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
-def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFrame:
+def customer(*, sf: float = 0.01, seed: int = 2) -> pd.DataFrame:
     n = max(1, int(_N_CUSTOMER_PER_SF * sf))
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "c_custkey": np.arange(1, n + 1),
             "c_nationkey": g.integers(0, 25, n),
@@ -114,13 +111,12 @@ def customer(spark: SparkSession, *, sf: float = 0.01, seed: int = 2) -> DataFra
             ),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
-def supplier(spark: SparkSession, *, sf: float = 0.01, seed: int = 6) -> DataFrame:
+def supplier(*, sf: float = 0.01, seed: int = 6) -> pd.DataFrame:
     n = max(1, int(_N_SUPPLIER_PER_SF * sf))
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "s_suppkey": np.arange(1, n + 1),
             "s_nationkey": g.integers(0, _N_NATION, n),
@@ -128,13 +124,12 @@ def supplier(spark: SparkSession, *, sf: float = 0.01, seed: int = 6) -> DataFra
             "s_name": [f"Supplier#{i:09d}" for i in range(1, n + 1)],
         }
     )
-    return spark.createDataFrame(pdf)
 
 
-def nation(spark: SparkSession, *, seed: int = 7) -> DataFrame:
+def nation(*, seed: int = 7) -> pd.DataFrame:
     """The 25 TPC-H nations, each mapped onto one of 5 regions."""
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "n_nationkey": np.arange(0, _N_NATION),
             "n_regionkey": np.arange(0, _N_NATION) % _N_REGION,
@@ -142,22 +137,20 @@ def nation(spark: SparkSession, *, seed: int = 7) -> DataFrame:
             "n_tax": (g.random(_N_NATION) * 0.2).round(3),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
-def region(spark: SparkSession, *, seed: int = 8) -> DataFrame:
+def region(*, seed: int = 8) -> pd.DataFrame:
     g = _rng(seed)
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "r_regionkey": np.arange(0, _N_REGION),
             "r_name": ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDEAST"],
             "r_tariff": (g.random(_N_REGION) * 0.1).round(3),
         }
     )
-    return spark.createDataFrame(pdf)
 
 
-def partsupp(spark: SparkSession, *, sf: float = 0.01, seed: int = 9) -> DataFrame:
+def partsupp(*, sf: float = 0.01, seed: int = 9) -> pd.DataFrame:
     """(partkey, suppkey) supply pairs; ~4 suppliers per part, as in TPC-H."""
     n = max(1, int(_N_PARTSUPP_PER_SF * sf))
     n_part = max(1, int(_N_PART_PER_SF * sf))
@@ -171,22 +164,4 @@ def partsupp(spark: SparkSession, *, sf: float = 0.01, seed: int = 9) -> DataFra
             "ps_supplycost": (g.random(n) * 1000 + 1).round(2),
         }
     )
-    pdf = pdf.drop_duplicates(["ps_partkey", "ps_suppkey"]).reset_index(drop=True)
-    return spark.createDataFrame(pdf)
-
-
-def zipf_keys(spark: SparkSession, *, n: int, n_keys: int, alpha: float = 1.1, seed: int = 3) -> DataFrame:
-    """Skewed key column — for join-skew / cardinality-estimation papers."""
-    g = _rng(seed)
-    ranks = np.arange(1, n_keys + 1)
-    weights = 1.0 / ranks**alpha
-    weights /= weights.sum()
-    keys = g.choice(ranks, size=n, p=weights)
-    return spark.createDataFrame(pd.DataFrame({"k": keys, "v": g.random(n)}))
-
-
-def uniform_keys(spark: SparkSession, *, n: int, n_keys: int, seed: int = 4) -> DataFrame:
-    g = _rng(seed)
-    return spark.createDataFrame(
-        pd.DataFrame({"k": g.integers(1, n_keys + 1, n), "v": g.random(n)})
-    )
+    return pdf.drop_duplicates(["ps_partkey", "ps_suppkey"]).reset_index(drop=True)

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.core.join_sampler import UnionContext
 from repro.core.join_spec import Join
@@ -98,10 +97,13 @@ def expected_overlap_fraction(tiers: list[Tier], delta: frozenset[int]) -> float
 
 @dataclass
 class Workload:
-    """A union-of-joins workload: joins + their UnionContext + metadata."""
+    """A union-of-joins workload: joins + their UnionContext + metadata.
+
+    ``spark`` is the session the workload was built with. Nothing in the
+    package reads it; the benchmark passes it on to ``full_join_union``."""
 
     name: str
-    spark: SparkSession
+    spark: object
     joins: list[Join]
     meta: dict = field(default_factory=dict)
     _uctx: UnionContext | None = None
@@ -109,5 +111,5 @@ class Workload:
     @property
     def uctx(self) -> UnionContext:
         if self._uctx is None:
-            self._uctx = UnionContext(self.spark, self.joins)
+            self._uctx = UnionContext(self.joins)
         return self._uctx

@@ -13,8 +13,6 @@ are shared by all five instances.
 """
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
-
 from repro import synth_data
 from repro.core.join_spec import Relation, chain
 
@@ -22,7 +20,7 @@ from .base import Tier, Workload, default_tiers, tiered_key_variant
 
 
 def uq1(
-    spark: SparkSession,
+    spark,
     *,
     sf: float = 0.01,
     overlap: float = 0.2,
@@ -30,18 +28,19 @@ def uq1(
     seed: int = 0,
     tiers: list[Tier] | None = None,
 ) -> Workload:
-    nation = Relation("nation", synth_data.nation(spark))
-    supplier = Relation("supplier", synth_data.supplier(spark, sf=sf, seed=seed + 6))
-    orders = Relation("orders", synth_data.orders(spark, sf=sf, seed=seed + 1))
-    customer = Relation("customer", synth_data.customer(spark, sf=sf, seed=seed + 2))
-    li_pdf = synth_data.lineitem(spark, sf=sf, seed=seed).toPandas()
+    """``spark`` is unused (relations are pandas frames); the benchmark's
+    workload builders still pass it."""
+    nation = Relation("nation", synth_data.nation())
+    supplier = Relation("supplier", synth_data.supplier(sf=sf, seed=seed + 6))
+    orders = Relation("orders", synth_data.orders(sf=sf, seed=seed + 1))
+    customer = Relation("customer", synth_data.customer(sf=sf, seed=seed + 2))
+    li_pdf = synth_data.lineitem(sf=sf, seed=seed)
     n_supp = synth_data.n_rows("supplier", sf)
     tiers = tiers if tiers is not None else default_tiers(overlap, n_joins)
 
     joins = []
     for v in range(n_joins):
-        li_v = tiered_key_variant(li_pdf, "l_suppkey", n_supp, tiers, v)
-        li = Relation(f"lineitem_{v}", spark.createDataFrame(li_v))
+        li = Relation(f"lineitem_{v}", tiered_key_variant(li_pdf, "l_suppkey", n_supp, tiers, v))
         joins.append(
             chain(
                 f"uq1_{v}",

@@ -10,9 +10,6 @@ parameter sets the fraction by which consecutive p_size windows overlap.
 """
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
-
 from repro import synth_data
 from repro.core.join_spec import Relation, chain
 
@@ -20,17 +17,19 @@ from .base import Workload
 
 
 def uq2(
-    spark: SparkSession,
+    spark,
     *,
     sf: float = 0.01,
     overlap: float = 0.6,
     seed: int = 0,
 ) -> Workload:
-    region = Relation("region", synth_data.region(spark))
-    nation = Relation("nation", synth_data.nation(spark))
-    supplier = Relation("supplier", synth_data.supplier(spark, sf=sf, seed=seed + 6))
-    partsupp = Relation("partsupp", synth_data.partsupp(spark, sf=sf, seed=seed + 9))
-    part_df = synth_data.part(spark, sf=sf, seed=seed + 5).cache()
+    """``spark`` is unused (relations are pandas frames); kept for the
+    signature the three workloads share."""
+    region = Relation("region", synth_data.region())
+    nation = Relation("nation", synth_data.nation())
+    supplier = Relation("supplier", synth_data.supplier(sf=sf, seed=seed + 6))
+    partsupp = Relation("partsupp", synth_data.partsupp(sf=sf, seed=seed + 9))
+    part_pdf = synth_data.part(sf=sf, seed=seed + 5)
 
     # p_size ∈ [1, 50]; three windows of width 25, consecutive windows
     # overlapping by `overlap` of their width.
@@ -40,10 +39,8 @@ def uq2(
 
     joins = []
     for v, (lo, hi) in enumerate(windows):
-        part_v = Relation(
-            f"part_{v}",
-            part_df.filter((F.col("p_size") >= lo) & (F.col("p_size") <= hi)),
-        )
+        in_window = part_pdf["p_size"].between(lo, hi)
+        part_v = Relation(f"part_{v}", part_pdf[in_window].reset_index(drop=True))
         joins.append(
             chain(
                 f"uq2_{v}",

@@ -23,9 +23,6 @@ unchanged).
 """
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
-
 from repro import synth_data
 from repro.core.join_spec import Edge, Join, Node, Relation, chain
 
@@ -43,30 +40,28 @@ def order_windows(n: int, overlap: float, k: int = 3) -> list[tuple[int, int]]:
 
 
 def uq3(
-    spark: SparkSession,
+    spark,
     *,
     sf: float = 0.01,
     overlap: float = 0.2,
     seed: int = 0,
 ) -> Workload:
+    """``spark`` is unused (relations are pandas frames); the benchmark's
+    workload builders still pass it."""
+    supp_pdf = synth_data.supplier(sf=sf, seed=seed + 6)
     supplier = Relation(
-        "supplier",
-        synth_data.supplier(spark, sf=sf, seed=seed + 6)
-        .filter(F.col("s_suppkey") <= N_SUPPLIERS),
+        "supplier", supp_pdf[supp_pdf["s_suppkey"] <= N_SUPPLIERS].reset_index(drop=True)
     )
-    cust_df = synth_data.customer(spark, sf=sf, seed=seed + 2).cache()
-    customer = Relation("customer", cust_df)
-    customer_a = Relation("customer_a", cust_df.select("c_custkey", "c_nationkey"))
-    customer_b = Relation(
-        "customer_b", cust_df.select("c_custkey", "c_acctbal", "c_mktsegment")
-    )
-    orders_pdf = synth_data.orders(spark, sf=sf, seed=seed + 1).toPandas()
+    cust_pdf = synth_data.customer(sf=sf, seed=seed + 2)
+    customer = Relation("customer", cust_pdf)
+    customer_a = Relation("customer_a", cust_pdf[["c_custkey", "c_nationkey"]])
+    customer_b = Relation("customer_b", cust_pdf[["c_custkey", "c_acctbal", "c_mktsegment"]])
+    orders_pdf = synth_data.orders(sf=sf, seed=seed + 1)
     windows = order_windows(len(orders_pdf), overlap)
 
     def orders_rel(v: int) -> Relation:
         lo, hi = windows[v]
-        pdf = orders_pdf.iloc[lo:hi].reset_index(drop=True)
-        return Relation(f"orders_{v}", spark.createDataFrame(pdf))
+        return Relation(f"orders_{v}", orders_pdf.iloc[lo:hi].reset_index(drop=True))
 
     # J0: genuinely acyclic, non-chain (root with three children).
     o0 = orders_rel(0)

@@ -11,7 +11,7 @@ from statutil import assert_uniform
 
 
 @pytest.fixture(scope="module")
-def triangle(spark):
+def triangle():
     """R1(a,b) ⋈ R2(b,c) ⋈ R3(c,a): a genuine cycle."""
     g = np.random.default_rng(9)
     r1 = pd.DataFrame({"a": g.integers(1, 7, 25), "b": g.integers(1, 7, 25)}).drop_duplicates()
@@ -19,10 +19,10 @@ def triangle(spark):
     r3 = pd.DataFrame({"c": g.integers(1, 7, 25), "a": g.integers(1, 7, 25)}).drop_duplicates()
     cj = decompose_triangle(
         "tri",
-        Relation("r1", spark.createDataFrame(r1)),
-        Relation("r2", spark.createDataFrame(r2)),
+        Relation("r1", r1),
+        Relation("r2", r2),
         ("b", "b"),
-        Relation("r3", spark.createDataFrame(r3)),
+        Relation("r3", r3),
     )
     truth = duckdb.sql(
         "select distinct r1.a, r1.b, r2.c from r1 "
@@ -36,7 +36,7 @@ def test_link_cols(triangle):
     assert sorted(cj.link_cols) == ["a", "c"]
 
 
-def test_full_df_matches_duckdb(spark, triangle):
+def test_full_df_matches_duckdb(triangle):
     cj, truth = triangle
     got = cj.full_pdf().sort_values(["a", "b", "c"]).reset_index(drop=True)
     want = truth.sort_values(["a", "b", "c"]).reset_index(drop=True)[got.columns.tolist()]
@@ -48,28 +48,28 @@ def test_size_bound_sound(triangle):
     assert cj.size_bound() >= len(truth)
 
 
-def test_residual_max_degree(spark, triangle):
+def test_residual_max_degree(triangle):
     cj, _ = triangle
     m = cj.residual_max_degree()
-    pdf = cj.residual.df.toPandas()
+    pdf = cj.residual.pdf
     assert m == pdf.groupby(["c", "a"]).size().max()
 
 
-def test_sample_cyclic_uniform(spark, triangle):
+def test_sample_cyclic_uniform(triangle):
     cj, truth = triangle
-    s = sample_cyclic(spark, cj, 2500, seed=1)
+    s = sample_cyclic(cj, 2500, seed=1)
     assert len(s) == 2500
     assert_uniform(s, truth, ["a", "b", "c"])
 
 
-def test_samples_valid(spark, triangle):
+def test_samples_valid(triangle):
     cj, truth = triangle
-    s = sample_cyclic(spark, cj, 100, seed=2)
+    s = sample_cyclic(cj, 100, seed=2)
     merged = s.merge(truth.drop_duplicates(), how="left", indicator=True)
     assert (merged["_merge"] == "both").all()
 
 
-def test_empty_cyclic_join_raises(spark):
+def test_empty_cyclic_join_raises():
     """A cyclic join whose residual matches no skeleton tuple is empty,
     though the skeleton and the residual are not: the sampler says so
     instead of drawing forever."""
@@ -78,11 +78,11 @@ def test_empty_cyclic_join_raises(spark):
     r3 = pd.DataFrame({"c": [1, 2], "a": [2, 1]})
     cj = decompose_triangle(
         "notri",
-        Relation("r1", spark.createDataFrame(r1)),
-        Relation("r2", spark.createDataFrame(r2)),
+        Relation("r1", r1),
+        Relation("r2", r2),
         ("b", "b"),
-        Relation("r3", spark.createDataFrame(r3)),
+        Relation("r3", r3),
     )
     assert cj.size_bound() == 2 and not len(cj.full_pdf())
     with deadline(10), pytest.raises(ValueError, match="notri"):
-        sample_cyclic(spark, cj, 10, seed=0)
+        sample_cyclic(cj, 10, seed=0)

@@ -9,13 +9,13 @@ from repro.workloads import uq3
 
 
 @pytest.fixture(scope="module")
-def joins(spark):
+def joins():
     a = pd.DataFrame({"x": [1, 1, 2, 3, 4], "pa": [0, 1, 2, 3, 4]})
     b = pd.DataFrame({"bx": [1, 2, 3, 5], "pb": [9, 8, 7, 6]})
     out = []
     for i, sl in enumerate([(0, 4), (1, 5), (2, 5)]):
-        ra = Relation("a", spark.createDataFrame(a.iloc[sl[0] : sl[1]]))
-        rb = Relation("b", spark.createDataFrame(b))
+        ra = Relation("a", a.iloc[sl[0] : sl[1]].reset_index(drop=True))
+        rb = Relation("b", b)
         out.append(chain(f"e{i}", [ra, rb], [("x", "bx")]))
     full = [
         a.iloc[sl[0] : sl[1]].merge(b, left_on="x", right_on="bx").drop_duplicates()
@@ -53,7 +53,7 @@ def test_sizes_and_union(spark, joins):
     for f in full:
         u |= set(map(tuple, f[["x", "pa", "bx", "pb"]].itertuples(index=False)))
     assert ex.union == len(u)
-    assert len(union_tuples(spark, js)) == len(u)
+    assert len(union_tuples(js)) == len(u)
 
 
 def test_overlap_queries(spark, joins):
@@ -103,8 +103,8 @@ def duckdb_atoms(joins) -> dict:
     return {frozenset(n for i, n in enumerate(names) if int(m) >> i & 1): c for m, c in rows}
 
 
-def _rel(spark, name, **cols):
-    return Relation(name, spark.createDataFrame(pd.DataFrame(cols)))
+def _rel(name, **cols):
+    return Relation(name, pd.DataFrame(cols))
 
 
 def _ints(*vals):
@@ -116,18 +116,18 @@ def test_null_join_keys_match_duckdb(spark, using):
     """A null join key matches nothing, on a different-name edge and on a
     USING edge alike; null payloads group together across joins."""
     key = "x" if using else "bx"
-    b = _rel(spark, "b", **{key: _ints(1, None, 2, 3), "pb": ["p", "q", None, None]})
+    b = _rel("b", **{key: _ints(1, None, 2, 3), "pb": ["p", "q", None, None]})
     joins = []
     for i, (lo, hi) in enumerate([(0, 4), (1, 6)]):
         xs, pas = _ints(1, None, 2, None, 3, 1)[lo:hi], _ints(0, 1, None, 3, None, 5)[lo:hi]
-        a = _rel(spark, "a", x=xs, pa=pas)
+        a = _rel("a", x=xs, pa=pas)
         joins.append(chain(f"n{i}", [a, b], [("x", key)]))
     ex = full_join_union(spark, joins)
     assert ex.atoms == duckdb_atoms(joins)
     # (2, null, 2, null) is in both joins: one tuple, whose nulls group
     n0, n1 = (j.name for j in joins)
     assert ex.atoms == {frozenset([n0]): 1, frozenset([n0, n1]): 1, frozenset([n1]): 2}
-    assert len(union_tuples(spark, joins)) == ex.union
+    assert len(union_tuples(joins)) == ex.union
 
 
 @pytest.mark.parametrize("root", ["a", "b"])
@@ -135,11 +135,11 @@ def test_hidden_join_key_matches_duckdb(spark, root):
     """A hidden ``__rid`` key (a vertical-split rejoin) is carried through
     an earlier merge until its edge joins on it, whether it sits on the
     root or on a child, and never reaches the output tuple."""
-    a = _rel(spark, "a", x=[1, 2, 3, 4], pa=[0, 1, 2, 3], __rid=[0, 1, 2, 3])
-    b = _rel(spark, "b", bx=[1, 2, 3], pb=[7, 8, 9])
+    a = _rel("a", x=[1, 2, 3, 4], pa=[0, 1, 2, 3], __rid=[0, 1, 2, 3])
+    b = _rel("b", bx=[1, 2, 3], pb=[7, 8, 9])
     joins = []
     for i, (lo, hi) in enumerate([(0, 3), (1, 4)]):
-        a2 = _rel(spark, "a2", __rid=list(range(lo, hi)), qa=[10 + r for r in range(lo, hi)])
+        a2 = _rel("a2", __rid=list(range(lo, hi)), qa=[10 + r for r in range(lo, hi)])
         split = Edge("__rid", "__rid", Node(a2), fake=True)
         if root == "a":
             tree = Node(a, [Edge("x", "bx", Node(b)), split])

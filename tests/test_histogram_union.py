@@ -14,7 +14,7 @@ from repro.core.join_sampler import UnionContext
 from repro.core.join_spec import Relation, chain
 
 
-def random_chain_workload(spark, seed: int, n_joins: int = 3):
+def random_chain_workload(seed: int, n_joins: int = 3):
     """Random equi-length 3-relation chains over overlapping slices."""
     g = np.random.default_rng(seed)
     n = 80
@@ -25,16 +25,16 @@ def random_chain_workload(spark, seed: int, n_joins: int = 3):
     for i in range(n_joins):
         lo = int(g.integers(0, 30))
         hi = int(g.integers(lo + 20, n + 1))
-        ra = Relation("a", spark.createDataFrame(a.iloc[lo:hi]).cache())
-        rb = Relation("b", spark.createDataFrame(b).cache())
-        rc = Relation("c", spark.createDataFrame(c).cache())
+        ra = Relation("a", a.iloc[lo:hi].reset_index(drop=True))
+        rb = Relation("b", b)
+        rc = Relation("c", c)
         joins.append(chain(f"r{i}", [ra, rb, rc], [("x", "bx"), ("y", "cy")]))
     return joins
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_theorem4_bound_sound_on_random_workloads(spark, seed):
-    joins = random_chain_workload(spark, seed)
+    joins = random_chain_workload(seed)
     ex = full_join_union(spark, joins)
     views = {j.name: chain_view(j) for j in joins}
     from itertools import combinations
@@ -48,17 +48,17 @@ def test_theorem4_bound_sound_on_random_workloads(spark, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 2])
-def test_single_join_bound_is_size_bound(spark, seed):
-    joins = random_chain_workload(spark, seed, n_joins=1)
+def test_single_join_bound_is_size_bound(seed):
+    joins = random_chain_workload(seed, n_joins=1)
     view = chain_view(joins[0])
     from duckjoin import count
 
     assert overlap_bound([view]) >= count(joins[0])
 
 
-def test_histogram_warmup_estimate_shape(spark):
-    joins = random_chain_workload(spark, 5)
-    uctx = UnionContext(spark, joins)
+def test_histogram_warmup_estimate_shape():
+    joins = random_chain_workload(5)
+    uctx = UnionContext(joins)
     est = histogram_warmup(uctx, size_method="eo")
     assert est.method == "hist-eo"
     assert set(est.sizes) == set(uctx.names)
@@ -71,16 +71,16 @@ def test_histogram_warmup_estimate_shape(spark):
         assert est.sizes[j.name] >= uctx.ctx(j.name).size_exact
 
 
-def test_histogram_warmup_ew_sizes_exact(spark):
-    joins = random_chain_workload(spark, 6)
-    uctx = UnionContext(spark, joins)
+def test_histogram_warmup_ew_sizes_exact():
+    joins = random_chain_workload(6)
+    uctx = UnionContext(joins)
     est = histogram_warmup(uctx, size_method="ew")
     for j in joins:
         assert est.sizes[j.name] == uctx.ctx(j.name).size_exact
 
 
-def test_avg_refinement_not_larger(spark):
-    joins = random_chain_workload(spark, 7)
+def test_avg_refinement_not_larger():
+    joins = random_chain_workload(7)
     v_max = [chain_view(j, refine="max") for j in joins]
     v_avg = [chain_view(j, refine="avg") for j in joins]
     assert overlap_bound(v_avg) <= overlap_bound(v_max) + 1e-9
@@ -105,9 +105,9 @@ def test_cover_probs_degenerate_fallback():
     assert sum(probs.values()) == pytest.approx(1.0)
 
 
-def test_view_sets_take_min(spark):
-    joins = random_chain_workload(spark, 8)
-    uctx = UnionContext(spark, joins)
+def test_view_sets_take_min():
+    joins = random_chain_workload(8)
+    uctx = UnionContext(joins)
     views = [chain_view(j) for j in joins]
     est1 = histogram_warmup(uctx, views=views)
     est2 = histogram_warmup(uctx, view_sets=[views, views])

@@ -11,7 +11,7 @@ from statutil import assert_uniform
 
 
 @pytest.fixture(scope="module")
-def skewed(spark):
+def skewed():
     """Skewed 3-relation chain where EO has a real rejection rate."""
     import numpy as np
 
@@ -22,9 +22,9 @@ def skewed(spark):
     j = chain(
         "skewed",
         [
-            Relation("a", spark.createDataFrame(a)),
-            Relation("b", spark.createDataFrame(b)),
-            Relation("c", spark.createDataFrame(c)),
+            Relation("a", a),
+            Relation("b", b),
+            Relation("c", c),
         ],
         [("x", "bx"), ("y", "cy")],
     )
@@ -36,7 +36,7 @@ def skewed(spark):
 
 
 @pytest.fixture(scope="module")
-def ctx(spark, skewed):
+def ctx(skewed):
     return JoinContext(skewed[0])
 
 
@@ -128,12 +128,12 @@ def test_reduction_preserves_join(skewed, ctx):
 
 
 @pytest.mark.parametrize("method", ["ew", "eo"])
-def test_empty_join_raises(spark, method):
+def test_empty_join_raises(method):
     """A join with no results cannot be sampled: the sampler says so
     instead of drawing forever."""
     a = pd.DataFrame({"x": [1, 2, 3], "pa": [0, 1, 2]})
     b = pd.DataFrame({"bx": [7, 8], "pb": [0, 1]})
-    a, b = Relation("a", spark.createDataFrame(a)), Relation("b", spark.createDataFrame(b))
+    a, b = Relation("a", a), Relation("b", b)
     ctx = JoinContext(chain("nomatch", [a, b], [("x", "bx")]))
     with deadline(10), pytest.raises(ValueError, match="nomatch"):
         sample_join({ctx: 5}, method=method, seed=0)

@@ -6,9 +6,9 @@ from repro.core.join_spec import Edge, Join, Node, Relation, chain
 
 
 @pytest.fixture(scope="module")
-def rels(spark):
+def rels():
     def rel(name, data):
-        return Relation(name, spark.createDataFrame(pd.DataFrame(data)))
+        return Relation(name, pd.DataFrame(data))
 
     a = rel("a", {"x": [1, 2], "pa": [0.5, 1.5]})
     b = rel("b", {"bx": [1, 1, 2], "y": [7, 8, 7], "pb": [10, 11, 12]})
@@ -32,22 +32,22 @@ def test_value_cols_order_and_dedup(rels):
     assert j.value_cols == ["x", "pa", "bx", "y", "pb", "cy", "pc"]
 
 
-def test_condition_pairs_excludes_using(spark, rels):
+def test_condition_pairs_excludes_using(rels):
     a, b, c = rels
     j = chain("j", [a, b, c], [("x", "bx"), ("y", "cy")])
     assert set(j.condition_pairs()) == {("x", "bx"), ("y", "cy")}
     # USING-style same-name join contributes no explicit pair
-    d1 = Relation("d1", spark.createDataFrame(pd.DataFrame({"k": [1], "u": [2]})))
-    d2 = Relation("d2", spark.createDataFrame(pd.DataFrame({"k": [1], "v": [3]})))
+    d1 = Relation("d1", pd.DataFrame({"k": [1], "u": [2]}))
+    d2 = Relation("d2", pd.DataFrame({"k": [1], "v": [3]}))
     ju = chain("ju", [d1, d2], [("k", "k")])
     assert ju.condition_pairs() == []
     assert ju.value_cols == ["k", "u", "v"]
     assert len(ju.full_pdf()) == 1
 
 
-def test_collision_detection(spark):
-    r1 = Relation("r1", spark.createDataFrame(pd.DataFrame({"k": [1], "dup": [2]})))
-    r2 = Relation("r2", spark.createDataFrame(pd.DataFrame({"j": [1], "dup": [3]})))
+def test_collision_detection():
+    r1 = Relation("r1", pd.DataFrame({"k": [1], "dup": [2]}))
+    r2 = Relation("r2", pd.DataFrame({"j": [1], "dup": [3]}))
     with pytest.raises(ValueError, match="dup"):
         chain("bad", [r1, r2], [("k", "j")])
 
@@ -63,7 +63,7 @@ def test_tree_not_chain(rels):
         j.as_chain()
 
 
-def test_tree_full_df_equals_chain_full_df(spark, rels):
+def test_tree_full_df_equals_chain_full_df(rels):
     """A join tree is order-independent: the chain a–b–c rooted at b
     produces the same result set."""
     a, b, c = rels
@@ -95,10 +95,10 @@ def test_tree_distance_chain(rels):
     assert j.tree_distance("y", "pb") == 0
 
 
-def test_hidden_cols_excluded(spark):
+def test_hidden_cols_excluded():
     r = Relation(
         "r",
-        spark.createDataFrame(pd.DataFrame({"k": [1], "__rid": [0]})),
+        pd.DataFrame({"k": [1], "__rid": [0]}),
     )
     assert r.cols == ["k"]
     j = chain("j", [r], [])

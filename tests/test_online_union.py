@@ -10,18 +10,18 @@ from repro.core.online_union import _reuse_draws, online_union_sample
 
 
 @pytest.fixture(scope="module")
-def workload(spark):
+def workload():
     g = np.random.default_rng(7)
     n = 150
     a = pd.DataFrame({"x": g.integers(1, 20, n), "pa": np.arange(n)})
     b = pd.DataFrame({"bx": np.arange(1, 20), "pb": np.arange(19)})
     joins = []
     for i, sl in enumerate([(0, 90), (60, 150)]):
-        ra = Relation("a", spark.createDataFrame(a.iloc[sl[0] : sl[1]]).cache())
-        rb = Relation("b", spark.createDataFrame(b).cache())
+        ra = Relation("a", a.iloc[sl[0] : sl[1]].reset_index(drop=True))
+        rb = Relation("b", b)
         joins.append(chain(f"o{i}", [ra, rb], [("x", "bx")]))
-    uctx = UnionContext(spark, joins)
-    truth = union_tuples(spark, joins)
+    uctx = UnionContext(joins)
+    truth = union_tuples(joins)
     return uctx, truth
 
 

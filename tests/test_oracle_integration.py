@@ -1,4 +1,4 @@
-"""DuckDB oracle checks: every workload join's Spark result equals the
+"""DuckDB oracle checks: every workload join's driver result equals the
 equivalent SQL on the same inputs (catches broken join composition)."""
 from repro.oracle import assert_equivalent
 from repro.workloads import uq1, uq2, uq3

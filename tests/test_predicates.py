@@ -9,14 +9,14 @@ from statutil import assert_uniform
 
 
 @pytest.fixture(scope="module")
-def data(spark):
+def data():
     g = np.random.default_rng(21)
     a = pd.DataFrame({"x": g.integers(1, 10, 60), "size": g.integers(1, 50, 60)})
     b = pd.DataFrame({"bx": np.arange(1, 10), "pb": np.arange(9)})
     return a, b
 
 
-def test_pushdown_equals_sampling_time_filter(spark, data):
+def test_pushdown_equals_sampling_time_filter(data):
     a, b = data
     pred = lambda pdf: pdf["size"] <= 25  # noqa: E731
 
@@ -24,13 +24,13 @@ def test_pushdown_equals_sampling_time_filter(spark, data):
     a_f = a[a["size"] <= 25]
     j_push = chain(
         "push",
-        [Relation("a", spark.createDataFrame(a_f)), Relation("b", spark.createDataFrame(b))],
+        [Relation("a", a_f.reset_index(drop=True)), Relation("b", b)],
         [("x", "bx")],
     )
     # alternative 2: enforce during sampling on the unfiltered join
     j_raw = chain(
         "raw",
-        [Relation("a", spark.createDataFrame(a)), Relation("b", spark.createDataFrame(b))],
+        [Relation("a", a), Relation("b", b)],
         [("x", "bx")],
     )
     truth = a_f.merge(b, left_on="x", right_on="bx").drop_duplicates()
@@ -45,11 +45,11 @@ def test_pushdown_equals_sampling_time_filter(spark, data):
     assert (s_filt["size"] <= 25).all()
 
 
-def test_predicate_with_eo(spark, data):
+def test_predicate_with_eo(data):
     a, b = data
     j_raw = chain(
         "raw2",
-        [Relation("a", spark.createDataFrame(a)), Relation("b", spark.createDataFrame(b))],
+        [Relation("a", a), Relation("b", b)],
         [("x", "bx")],
     )
     s = sample_join(

@@ -22,10 +22,10 @@ def workload(spark):
     b = pd.DataFrame({"bx": np.arange(1, 15), "pb": np.arange(14)})
     joins = []
     for i, sl in enumerate([(0, 60), (30, 100)]):
-        ra = Relation("a", spark.createDataFrame(a.iloc[sl[0] : sl[1]]).cache())
-        rb = Relation("b", spark.createDataFrame(b).cache())
+        ra = Relation("a", a.iloc[sl[0] : sl[1]].reset_index(drop=True))
+        rb = Relation("b", b)
         joins.append(chain(f"w{i}", [ra, rb], [("x", "bx")]))
-    uctx = UnionContext(spark, joins)
+    uctx = UnionContext(joins)
     ex = full_join_union(spark, joins)
     return uctx, ex
 

@@ -12,30 +12,25 @@ from repro.core.walker import WalkRequest, run_walks
 
 
 @pytest.fixture(scope="module")
-def tiny(spark):
+def tiny():
     r = Relation(
         "r",
-        spark.createDataFrame(pd.DataFrame({"a": [1, 1, 2, 3], "x": [10, 11, 12, 13]})),
+        pd.DataFrame({"a": [1, 1, 2, 3], "x": [10, 11, 12, 13]}),
     )
-    s = Relation(
-        "s",
-        spark.createDataFrame(
-            pd.DataFrame({"b": [1, 1, 2, 2, 4], "y": [20, 21, 22, 23, 24]})
-        ),
-    )
+    s = Relation("s", pd.DataFrame({"b": [1, 1, 2, 2, 4], "y": [20, 21, 22, 23, 24]}))
     return chain("j1", [r, s], [("a", "b")])
 
 
-def test_exact_size_matches_duckdb(spark, tiny):
+def test_exact_size_matches_duckdb(tiny):
     # r⋈s on a=b: a=1 matches b∈{1,1} → 2 rows each of the two a=1 rows; a=2 → 2
     assert duckjoin.count(tiny) == JoinContext(tiny).size_exact == 2 * 2 + 1 * 2
 
 
-def test_olken_bound_sound(spark, tiny):
+def test_olken_bound_sound(tiny):
     assert JoinContext(tiny).size_olken >= duckjoin.count(tiny)
 
 
-def test_walker_ew_uniform(spark, tiny):
+def test_walker_ew_uniform(tiny):
     request = WalkRequest(tiny, 600, "ew", duckjoin.count(tiny))
     res = run_walks([request], seed=1).results[0]
     assert res.n_failed == 0
@@ -44,13 +39,13 @@ def test_walker_ew_uniform(spark, tiny):
     assert counts.min() > 50  # roughly uniform (expected 100 each)
 
 
-def test_walker_uniform_ht(spark, tiny):
+def test_walker_uniform_ht(tiny):
     res = run_walks([WalkRequest(tiny, 800, "uniform")], seed=2).results[0]
     est = RWState(pools={"j1": res.pdf}, n_failed={"j1": res.n_failed}).ht_size("j1")
     assert est == pytest.approx(duckjoin.count(tiny), rel=0.3)
 
 
-def test_sample_join_eo(spark, tiny):
+def test_sample_join_eo(tiny):
     ctx = JoinContext(tiny)
     s = sample_join({ctx: 50}, method="eo", seed=3)
     assert len(s) == 50
@@ -59,11 +54,11 @@ def test_sample_join_eo(spark, tiny):
 def test_full_join_union_and_membership(spark, tiny):
     r2 = Relation(
         "r",
-        spark.createDataFrame(pd.DataFrame({"a": [1, 2], "x": [10, 12]})),
+        pd.DataFrame({"a": [1, 2], "x": [10, 12]}),
     )
     s2 = Relation(
         "s",
-        spark.createDataFrame(pd.DataFrame({"b": [1, 2], "y": [20, 22]})),
+        pd.DataFrame({"b": [1, 2], "y": [20, 22]}),
     )
     j2 = chain("j2", [r2, s2], [("a", "b")])
     ex = full_join_union(spark, [tiny, j2])

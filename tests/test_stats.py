@@ -8,13 +8,13 @@ from repro.core.join_spec import Relation
 from repro.workloads import uq3
 
 
-def rel(spark, pdf: pd.DataFrame, name: str = "r") -> Relation:
-    return Relation(name, spark.createDataFrame(pdf))
+def rel(pdf: pd.DataFrame, name: str = "r") -> Relation:
+    return Relation(name, pdf)
 
 
 @pytest.fixture(scope="module")
-def r(spark):
-    return rel(spark, pd.DataFrame({"k": [1, 1, 1, 2, 2, 3], "v": list("abcdef")}))
+def r():
+    return rel(pd.DataFrame({"k": [1, 1, 1, 2, 2, 3], "v": list("abcdef")}))
 
 
 def test_degree_histogram(r):
@@ -29,14 +29,14 @@ def test_avg_degree(r):
     assert stats.avg_degree(r, "k") == pytest.approx(2.0)
 
 
-def test_max_degree_empty(spark):
-    empty = Relation("e", spark.createDataFrame(pd.DataFrame({"k": [1]})).filter("k > 5"))
+def test_max_degree_empty():
+    empty = Relation("e", pd.DataFrame({"k": [1]}).query("k > 5"))
     assert stats.max_degree(empty, "k") == 0
 
 
 def test_pair_degree_product_is_exact_join_size(spark):
-    a = rel(spark, pd.DataFrame({"k": [1, 1, 2, 3]}), "a")
-    b = rel(spark, pd.DataFrame({"j": [1, 2, 2, 2, 4]}), "b")
+    a = rel(pd.DataFrame({"k": [1, 1, 2, 3]}), "a")
+    b = rel(pd.DataFrame({"j": [1, 2, 2, 2, 4]}), "b")
     rows = stats.pair_degree_product(a, "k", b, "j").to_dict()
     # value 1: 2*1, value 2: 1*3; 3 and 4 unmatched
     assert rows == {1: 2, 2: 3}
@@ -47,11 +47,11 @@ def test_self_degree(r):
     assert stats.self_degree(r, "k").to_dict() == {1: 3, 2: 2, 3: 1}
 
 
-def test_null_key_counted_in_degrees_dropped_from_joins(spark):
+def test_null_key_counted_in_degrees_dropped_from_joins():
     """A null is one group for max and mean degree (SQL GROUP BY) and joins
     nothing, so pair products drop it."""
-    a = rel(spark, pd.DataFrame({"k": [None, None, None, 1.0, 2.0]}), "a")
-    b = rel(spark, pd.DataFrame({"j": [None, 1.0, 1.0]}), "b")
+    a = rel(pd.DataFrame({"k": [None, None, None, 1.0, 2.0]}), "a")
+    b = rel(pd.DataFrame({"j": [None, 1.0, 1.0]}), "b")
     assert stats.max_degree(a, "k") == 3
     assert stats.avg_degree(a, "k") == pytest.approx(5 / 3)
     assert stats.max_degree(b, "j") == 2

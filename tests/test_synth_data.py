@@ -14,55 +14,54 @@ from repro import synth_data as sd
         ("supplier", "s_suppkey", 10),
     ],
 )
-def test_row_counts_sf(spark, gen, key, n_expected):
-    df = getattr(sd, gen)(spark, sf=0.001)
-    assert df.count() == n_expected
+def test_row_counts_sf(gen, key, n_expected):
+    df = getattr(sd, gen)(sf=0.001)
+    assert len(df) == n_expected
     assert key in df.columns
 
 
-def test_nation_region_fixed(spark):
-    assert sd.nation(spark).count() == 25
-    assert sd.region(spark).count() == 5
+def test_nation_region_fixed():
+    assert len(sd.nation()) == 25
+    assert len(sd.region()) == 5
 
 
-def test_nation_regionkey_range(spark):
-    rows = sd.nation(spark).select("n_regionkey").distinct().collect()
-    assert set(r["n_regionkey"] for r in rows) <= set(range(5))
+def test_nation_regionkey_range():
+    assert set(sd.nation()["n_regionkey"]) <= set(range(5))
 
 
-def test_lineitem_has_suppkey_in_range(spark):
-    li = sd.lineitem(spark, sf=0.001).toPandas()
+def test_lineitem_has_suppkey_in_range():
+    li = sd.lineitem(sf=0.001)
     n_supp = sd.n_rows("supplier", 0.001)
     assert li["l_suppkey"].between(1, n_supp).all()
 
 
-def test_lineitem_orderkey_in_range(spark):
-    li = sd.lineitem(spark, sf=0.001).toPandas()
+def test_lineitem_orderkey_in_range():
+    li = sd.lineitem(sf=0.001)
     assert li["l_orderkey"].between(1, sd.n_rows("orders", 0.001)).all()
 
 
-def test_orders_custkey_in_range(spark):
-    o = sd.orders(spark, sf=0.001).toPandas()
+def test_orders_custkey_in_range():
+    o = sd.orders(sf=0.001)
     assert o["o_custkey"].between(1, sd.n_rows("customer", 0.001)).all()
 
 
-def test_partsupp_unique_pairs(spark):
-    ps = sd.partsupp(spark, sf=0.002).toPandas()
+def test_partsupp_unique_pairs():
+    ps = sd.partsupp(sf=0.002)
     assert not ps.duplicated(["ps_partkey", "ps_suppkey"]).any()
     assert ps["ps_partkey"].between(1, sd.n_rows("part", 0.002)).all()
     assert ps["ps_suppkey"].between(1, sd.n_rows("supplier", 0.002)).all()
 
 
-def test_determinism(spark):
-    a = sd.lineitem(spark, sf=0.001, seed=3).toPandas()
-    b = sd.lineitem(spark, sf=0.001, seed=3).toPandas()
+def test_determinism():
+    a = sd.lineitem(sf=0.001, seed=3)
+    b = sd.lineitem(sf=0.001, seed=3)
     assert a.equals(b)
-    c = sd.lineitem(spark, sf=0.001, seed=4).toPandas()
+    c = sd.lineitem(sf=0.001, seed=4)
     assert not a.equals(c)
 
 
-def test_supplier_nationkey_range(spark):
-    s = sd.supplier(spark, sf=0.002).toPandas()
+def test_supplier_nationkey_range():
+    s = sd.supplier(sf=0.002)
     assert s["s_nationkey"].between(0, 24).all()
 
 
@@ -71,11 +70,3 @@ def test_n_rows_helper():
     assert sd.n_rows("nation", 0.5) == 25
     assert sd.n_rows("region", 2.0) == 5
     assert sd.n_rows("partsupp", 0.01) == 8_000
-
-
-def test_zipf_and_uniform_keys(spark):
-    z = sd.zipf_keys(spark, n=2000, n_keys=100, alpha=1.2).toPandas()
-    u = sd.uniform_keys(spark, n=2000, n_keys=100).toPandas()
-    assert z["k"].between(1, 100).all() and u["k"].between(1, 100).all()
-    # zipf head heavier than uniform head
-    assert (z["k"] == 1).mean() > (u["k"] == 1).mean()

@@ -9,12 +9,12 @@ from repro.splitting.template import best_template, pair_scores, template_cost
 
 
 @pytest.fixture(scope="module")
-def paper_like_joins(spark):
+def paper_like_joins():
     """Three joins over attributes A..F with different tree shapes,
     mirroring the Fig 3a discussion."""
 
     def rel(name, cols):
-        return Relation(name, spark.createDataFrame(pd.DataFrame({c: [1] for c in cols})))
+        return Relation(name, pd.DataFrame({c: [1] for c in cols}))
 
     # J1: chain (A,B) - (B,C) - (C,D) - (D,E) - (E,F)
     j1 = chain(
@@ -68,8 +68,8 @@ def test_template_prefers_original_chain(paper_like_joins):
     assert t in (list("ABCDEF"), list("FEDCBA"))
 
 
-def test_single_attribute_template(spark):
-    r = Relation("r", spark.createDataFrame(pd.DataFrame({"A": [1]})))
+def test_single_attribute_template():
+    r = Relation("r", pd.DataFrame({"A": [1]}))
     j = chain("j", [r], [])
     assert best_template([j], ["A"]) == ["A"]
 

@@ -20,13 +20,14 @@ from repro.core.union_sampler import (
     warmup_params,
 )
 from repro.core.randomwalk_union import randomwalk_warmup
-from repro.workloads import uq3
+from repro.experiments.tables import prewarm
+from repro.workloads import uq1, uq2, uq3
 from deadline import deadline
 from statutil import assert_not_uniform, assert_uniform
 
 
 @pytest.fixture(scope="module")
-def tri_union(spark):
+def tri_union():
     """Three 2-relation chain joins over overlapping horizontal slices."""
     g = np.random.default_rng(1)
     n = 120
@@ -35,20 +36,20 @@ def tri_union(spark):
     joins = []
     slices = [(0, 70), (40, 100), (60, 120)]
     for i, (lo, hi) in enumerate(slices):
-        ra = Relation("a", spark.createDataFrame(a.iloc[lo:hi]).cache())
-        rb = Relation("b", spark.createDataFrame(b).cache())
+        ra = Relation("a", a.iloc[lo:hi].reset_index(drop=True))
+        rb = Relation("b", b)
         joins.append(chain(f"u{i}", [ra, rb], [("x", "bx")]))
     return joins
 
 
 @pytest.fixture(scope="module")
-def uctx(spark, tri_union):
-    return UnionContext(spark, tri_union)
+def uctx(tri_union):
+    return UnionContext(tri_union)
 
 
 @pytest.fixture(scope="module")
-def true_union(spark, tri_union):
-    return union_tuples(spark, tri_union)
+def true_union(tri_union):
+    return union_tuples(tri_union)
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +143,7 @@ def test_cost_theorem2_bound(uctx, exact_est):
     assert res.n_drawn <= 3 * bound
 
 
-def test_disjoint_union_sampler(uctx, tri_union, spark):
+def test_disjoint_union_sampler(uctx, tri_union):
     s = disjoint_union_sample(uctx, 3000, seed=18)
     assert len(s) == 3000
     # frequency of each tuple ∝ its multiplicity across joins
@@ -197,7 +198,7 @@ def test_one_walk_job_per_round(spark, uctx, exact_est):
 
 
 def test_warmups_start_no_job(spark, uctx):
-    """Degree statistics come from the relations' collected frames: once
+    """Degree statistics come from the relations' frames: once
     the walk plans are built, a HISTOGRAM-BASED warm-up starts no Spark job
     on a chain union or on UQ3 (the splitting path), and neither does
     ONLINE-UNION, which runs one on every call."""
@@ -214,13 +215,10 @@ def test_warmups_start_no_job(spark, uctx):
 
 
 def test_exact_and_cyclic_start_no_job(spark, uctx):
-    """FullJoinUnion and cyclic sampling run on the driver: once the
-    relations are collected, neither starts a Spark job."""
+    """FullJoinUnion and cyclic sampling run on the driver and start no
+    Spark job."""
     w3 = uq3(spark, sf=0.002, overlap=0.2, seed=4)
     for u in (uctx, w3.uctx):
-        for join in u.joins:
-            for r in join.relations():
-                r.pdf
         ex, jobs = _count_jobs(spark, lambda: full_join_union(spark, u.joins))
         assert ex.union > 0 and jobs == 0, u.names
     g = np.random.default_rng(5)
@@ -228,23 +226,41 @@ def test_exact_and_cyclic_start_no_job(spark, uctx):
         pd.DataFrame({a: g.integers(1, 5, 20), b: g.integers(1, 5, 20)})
         for a, b in ["ab", "bc", "ca"]
     ]
-    r1, r2, r3 = (Relation(f"r{i}", spark.createDataFrame(f)) for i, f in enumerate(frames))
+    r1, r2, r3 = (Relation(f"r{i}", f) for i, f in enumerate(frames))
     cj = decompose_triangle("tri", r1, r2, ("b", "b"), r3)
-    assert cj.size_bound() > 0  # collects the skeleton and the residual
-    s, jobs = _count_jobs(spark, lambda: sample_cyclic(spark, cj, 50, seed=6))
+    assert cj.size_bound() > 0  # builds the skeleton's walk plan
+    s, jobs = _count_jobs(spark, lambda: sample_cyclic(cj, 50, seed=6))
     assert len(s) == 50 and jobs == 0
 
 
+@pytest.mark.parametrize("build", [uq1, uq2, uq3])
+def test_workloads_build_without_spark_jobs(spark, build):
+    """Relations are pandas frames from generation on: building a workload,
+    reading every relation and building its indexes start no Spark job. So
+    Spark's partitioning cannot reorder a relation, and a seed gives the
+    same samples whatever the master."""
+
+    def build_and_index():
+        w = build(spark, sf=0.002, seed=5)
+        for j in w.joins:
+            for r in j.relations():
+                r.pdf
+        prewarm(w.uctx)
+
+    _, jobs = _count_jobs(spark, build_and_index)
+    assert jobs == 0
+
+
 @pytest.mark.parametrize("empty_size", [0.0, 50.0])
-def test_union_with_empty_join_returns_n(spark, tri_union, empty_size):
+def test_union_with_empty_join_returns_n(tri_union, empty_size):
     """An empty join in the union gets no slots, even when the estimate
     wrongly gives it a size, so the other joins fill all N of them."""
     b = tri_union[0].relations()[1]
     empty = Relation(
-        "a", spark.createDataFrame(pd.DataFrame({"x": [97, 98, 99], "pa": [0, 1, 2]}))
+        "a", pd.DataFrame({"x": [97, 98, 99], "pa": [0, 1, 2]})
     )
     joins = [tri_union[0], chain("empty", [empty, b], [("x", "bx")]), tri_union[2]]
-    u = UnionContext(spark, joins)
+    u = UnionContext(joins)
     ex = warmup_params(u, "exact")
     sizes = {**ex.sizes, "empty": empty_size}
     est = build_estimate("test", u.names, sizes, ex.overlaps)
@@ -254,18 +270,18 @@ def test_union_with_empty_join_returns_n(spark, tri_union, empty_size):
     assert res.per_join_accepted["empty"] == 0
 
 
-def test_short_return_says_incomplete(spark):
+def test_short_return_says_incomplete():
     """u1 ⊂ u0: u1's cover is empty, but the RANDOM-WALK estimate gives it
     slots, so max_rounds runs out before N; the result says so. With the
     HISTOGRAM-BASED estimate the call finishes and says that too."""
     g = np.random.default_rng(1)
     a = pd.DataFrame({"x": g.integers(1, 25, 120), "pa": np.arange(120)})
-    b = Relation("b", spark.createDataFrame(pd.DataFrame({"bx": np.arange(1, 25), "pb": np.arange(24)})))
+    b = Relation("b", pd.DataFrame({"bx": np.arange(1, 25), "pb": np.arange(24)}))
     joins = [
-        chain(f"u{i}", [Relation("a", spark.createDataFrame(a.iloc[:hi])), b], [("x", "bx")])
+        chain(f"u{i}", [Relation("a", a.iloc[:hi].reset_index(drop=True)), b], [("x", "bx")])
         for i, hi in enumerate([120, 60])
     ]
-    u = UnionContext(spark, joins)
+    u = UnionContext(joins)
     short = set_union_sample(u, 50, warmup="rw", seed=4, max_rounds=10)
     assert len(short.samples) < 50 and short.complete is False
     full = set_union_sample(u, 50, warmup="hist-ew", seed=4, max_rounds=10)
