@@ -34,7 +34,7 @@ from repro.core.histogram_union import ChainStatsView
 from repro.core.join_spec import Join, Node, Relation
 from repro.core.stats import avg_degree, max_degree, pair_degree_product, self_degree
 
-from .template import best_template
+from .template import best_template, best_templates
 
 
 def _deg(rel: Relation, col: str, kind: str) -> float:
@@ -214,9 +214,9 @@ def _schema(join: Join) -> tuple:
     return tuple((tuple(n.relation.cols), up.get(id(n))) for n in nodes)
 
 
-# Candidate templates by (zero_weight, join schemas). The search is
-# pure-Python Held–Karp over every output attribute (seconds on UQ3) and
-# reads nothing but schemas, so it runs once per union shape.
+# Candidate templates by (zero_weight, join schemas). The search is one
+# Held–Karp table over every output attribute (2^14 × 14 entries on UQ3)
+# and reads nothing but schemas, so it runs once per union shape.
 _templates: dict[tuple, list[list[str]]] = {}
 
 
@@ -230,30 +230,20 @@ def candidate_templates(
     minimum."""
     key = (zero_weight, *map(_schema, joins))
     if key not in _templates:
-        _templates[key] = _search_templates(joins, zero_weight)
-    return [list(t) for t in _templates[key]]
-
-
-def _search_templates(joins: list[Join], zero_weight: float) -> list[list[str]]:
-    cands = [best_template(joins, zero_weight=zero_weight)]
-    conds: set[tuple[str, str]] = set()
-    for j in joins:
-        for _, e in j.edges():
-            if e.parent_col != e.child_col and not e.fake:
-                conds.add((e.parent_col, e.child_col))
-    for pair in sorted(conds):
-        t = best_template(joins, zero_weight=zero_weight, fixed_prefix=pair)
-        if t not in cands:
-            cands.append(t)
-    for rel in joins[0].relations():
-        cols = rel.cols
-        if len(cols) >= 2:
-            t = best_template(
-                joins, zero_weight=zero_weight, fixed_prefix=(cols[0], cols[1])
-            )
+        conds = {
+            (e.parent_col, e.child_col)
+            for j in joins
+            for _, e in j.edges()
+            if e.parent_col != e.child_col and not e.fake
+        }
+        anchors = [(r.cols[0], r.cols[1]) for r in joins[0].relations() if len(r.cols) >= 2]
+        prefixes = [None, *sorted(conds), *anchors]
+        cands: list[list[str]] = []
+        for t in best_templates(joins, prefixes, zero_weight=zero_weight):
             if t not in cands:
                 cands.append(t)
-    return cands
+        _templates[key] = cands
+    return [list(t) for t in _templates[key]]
 
 
 def split_view_sets(

@@ -17,7 +17,22 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from repro.core.join_spec import Join
+
+
+def _score_matrix(joins: list[Join], attrs: list[str], zero_weight: float) -> np.ndarray:
+    """Symmetric C[i, k] = score(attrs[i], attrs[k]) (diagonal unused)."""
+    c = np.zeros((len(attrs), len(attrs)))
+    for j in joins:
+        nodes = j.nodes()
+        pos = {id(nd): i for i, nd in enumerate(nodes)}
+        at = [pos[id(j.node_of_attr(a))] for a in attrs]
+        hops = np.array([[len(j.path(x, y)) - 1 for y in nodes] for x in nodes], dtype=float)
+        d = hops[np.ix_(at, at)]
+        c += np.where(d == 0, zero_weight, d)
+    return c
 
 
 def pair_scores(
@@ -25,13 +40,65 @@ def pair_scores(
 ) -> dict[frozenset, float]:
     """score(A, A') = Σ_j Dist_j(A, A'), with distance-0 terms replaced by
     ``zero_weight``."""
-    out: dict[frozenset, float] = {}
-    for a, b in combinations(attrs, 2):
-        s = 0.0
-        for j in joins:
-            d = j.tree_distance(a, b)
-            s += zero_weight if d == 0 else float(d)
-        out[frozenset((a, b))] = s
+    c = _score_matrix(joins, attrs, zero_weight)
+    pairs = combinations(range(len(attrs)), 2)
+    return {frozenset((attrs[i], attrs[k])): float(c[i, k]) for i, k in pairs}
+
+
+def _walk(h: np.ndarray, c: np.ndarray, mask: int, i: int, pick: int) -> list[int]:
+    """An optimal path over ``mask`` from ``i``, stepping each time to the
+    ``pick``-th (0: lowest, -1: highest index) j with c[i, j] + h[mask − i, j]
+    == h[mask, i] (exact: the table holds these very sums)."""
+    out = [i]
+    while mask != 1 << i:
+        rest = mask ^ (1 << i)
+        mask, i = rest, int(np.flatnonzero(c[i] + h[rest] == h[mask, i])[pick])
+        out.append(i)
+    return out
+
+
+def best_templates(
+    joins: list[Join],
+    prefixes: list[tuple[str, str] | None],
+    attrs: list[str] | None = None,
+    *,
+    zero_weight: float = 0.0,
+) -> list[list[str]]:
+    """The best template for each entry of ``prefixes``, all read from one
+    Held–Karp table: ``h[mask, i]`` is the minimum cost of a path visiting
+    exactly ``mask`` with one end at ``i`` (scores are symmetric, so start
+    and end are interchangeable), filled one popcount layer at a time.
+
+    ``None`` asks for the unconstrained optimum, walked back from its end
+    (the highest index among equal-cost ends). ``(a, b)`` asks for the best
+    template starting a → b, of cost C[a, b] + h[all − a, b]; any such
+    template still yields a sound Theorem 4 bound, and starting at a join
+    condition puts its per-value histogram into the K(1) stage. The
+    tie-breaks are pinned by the UQ3 candidates in ``tests/test_split.py``.
+    """
+    attrs = attrs or joins[0].value_cols
+    n = len(attrs)
+    if n > 18:
+        raise ValueError("template search supports up to 18 attributes")
+    c = _score_matrix(joins, attrs, zero_weight)
+    masks = np.arange(1 << n)
+    size = sum((masks >> i) & 1 for i in range(n))
+    h = np.full((1 << n, n), np.inf)
+    h[1 << np.arange(n), np.arange(n)] = 0.0
+    for s in range(2, n + 1):
+        layer = masks[size == s]
+        for i in range(n):
+            m = layer[(layer & (1 << i)) > 0]
+            h[m, i] = (c[i] + h[m ^ (1 << i)]).min(axis=1)  # j → i after a path ending at j
+    full, out = (1 << n) - 1, []
+    for prefix in prefixes:
+        if prefix is None:
+            end = int(np.flatnonzero(h[full] == h[full].min())[-1])
+            order = _walk(h, c, full, end, -1)[::-1]
+        else:
+            a, b = attrs.index(prefix[0]), attrs.index(prefix[1])
+            order = [a, *_walk(h, c, full ^ (1 << a), b, 0)]
+        out.append([attrs[i] for i in order])
     return out
 
 
@@ -42,55 +109,9 @@ def best_template(
     zero_weight: float = 0.0,
     fixed_prefix: tuple[str, str] | None = None,
 ) -> list[str]:
-    """Minimum-total-score attribute ordering (exact Held–Karp DP).
-
-    ``fixed_prefix=(a, b)`` constrains the path to start a → b; any such
-    template still yields a sound Theorem 4 bound, and starting at a join
-    condition puts its per-value histogram into the K(1) stage.
-    """
-    attrs = attrs or joins[0].value_cols
-    n = len(attrs)
-    if n == 1:
-        return list(attrs)
-    if n > 18:
-        raise ValueError("template search supports up to 18 attributes")
-    scores = pair_scores(joins, attrs, zero_weight=zero_weight)
-
-    def cost(i: int, k: int) -> float:
-        return scores[frozenset((attrs[i], attrs[k]))]
-
-    # dp[mask][last] = (min cost of a path visiting `mask` ending at `last`)
-    dp: list[dict[int, tuple[float, int]]] = [dict() for _ in range(1 << n)]
-    if fixed_prefix is not None:
-        ia, ib = attrs.index(fixed_prefix[0]), attrs.index(fixed_prefix[1])
-        dp[(1 << ia) | (1 << ib)][ib] = (cost(ia, ib), ia)
-        dp[1 << ia][ia] = (0.0, -1)  # backtracking terminator
-    else:
-        for i in range(n):
-            dp[1 << i][i] = (0.0, -1)
-    for mask in range(1 << n):
-        if fixed_prefix is not None and mask == dp_skip_mask(attrs, fixed_prefix):
-            continue  # the {a} seed exists only to terminate backtracking
-        for last, (c, _) in list(dp[mask].items()):
-            for k in range(n):
-                if mask & (1 << k):
-                    continue
-                nm, nc = mask | (1 << k), c + cost(last, k)
-                if k not in dp[nm] or nc < dp[nm][k][0]:
-                    dp[nm][k] = (nc, last)
-    full = (1 << n) - 1
-    last = min(dp[full], key=lambda k: dp[full][k][0])
-    order = [last]
-    mask = full
-    while dp[mask][order[-1]][1] != -1:
-        prev = dp[mask][order[-1]][1]
-        mask ^= 1 << order[-1]
-        order.append(prev)
-    return [attrs[i] for i in reversed(order)]
-
-
-def dp_skip_mask(attrs: list[str], fixed_prefix: tuple[str, str]) -> int:
-    return 1 << attrs.index(fixed_prefix[0])
+    """Minimum-total-score attribute ordering, optionally starting
+    ``fixed_prefix`` (see :func:`best_templates`)."""
+    return best_templates(joins, [fixed_prefix], attrs, zero_weight=zero_weight)[0]
 
 
 def template_cost(joins: list[Join], template: list[str], *, zero_weight: float = 0.0) -> float:

@@ -34,6 +34,49 @@ def test_candidate_templates_cover_anchors(w3):
     assert any(a.startswith("o_") and b.startswith("o_") for a, b in firsts)
 
 
+def test_candidate_templates_pinned(w3):
+    """Scores are small integer sums, so equal-cost templates are common;
+    the tie-breaks decide which ones become candidates, and with them
+    every UQ3 HISTOGRAM-BASED estimate."""
+    assert candidate_templates(w3.joins) == [
+        [
+            "s_suppkey", "s_nationkey", "s_acctbal", "s_name", "c_custkey",
+            "c_nationkey", "c_acctbal", "c_mktsegment", "o_orderkey", "o_custkey",
+            "o_orderstatus", "o_totalprice", "o_orderdate", "o_orderpriority"
+        ],
+        [
+            "c_custkey", "o_custkey", "o_orderkey", "o_orderstatus", "o_totalprice",
+            "o_orderdate", "o_orderpriority", "c_acctbal", "c_mktsegment",
+            "c_nationkey", "s_suppkey", "s_nationkey", "s_acctbal", "s_name"
+        ],
+        [
+            "c_nationkey", "s_nationkey", "s_suppkey", "s_acctbal", "s_name",
+            "c_custkey", "c_acctbal", "c_mktsegment", "o_orderkey", "o_custkey",
+            "o_orderstatus", "o_totalprice", "o_orderdate", "o_orderpriority"
+        ],
+        [
+            "s_nationkey", "c_nationkey", "c_custkey", "s_suppkey", "s_acctbal",
+            "s_name", "c_acctbal", "c_mktsegment", "o_orderkey", "o_custkey",
+            "o_orderstatus", "o_totalprice", "o_orderdate", "o_orderpriority"
+        ],
+        [
+            "c_custkey", "c_nationkey", "s_suppkey", "s_nationkey", "s_acctbal",
+            "s_name", "c_acctbal", "c_mktsegment", "o_orderkey", "o_custkey",
+            "o_orderstatus", "o_totalprice", "o_orderdate", "o_orderpriority"
+        ],
+        [
+            "c_custkey", "c_acctbal", "c_mktsegment", "o_orderkey", "o_custkey",
+            "o_orderstatus", "o_totalprice", "o_orderdate", "o_orderpriority",
+            "c_nationkey", "s_suppkey", "s_nationkey", "s_acctbal", "s_name"
+        ],
+        [
+            "o_orderkey", "o_custkey", "o_orderstatus", "o_totalprice", "o_orderdate",
+            "o_orderpriority", "c_acctbal", "c_mktsegment", "c_custkey", "c_nationkey",
+            "s_suppkey", "s_nationkey", "s_acctbal", "s_name"
+        ],
+    ]
+
+
 @pytest.mark.parametrize("refine", ["max"])
 def test_bounds_sound_all_templates_all_deltas(spark, w3, exact3, refine):
     """Every candidate template must upper-bound every true overlap."""

@@ -1,4 +1,5 @@
 """Standard-template selection (§8.1): scores, optimality, paper example."""
+import tracemalloc
 from itertools import permutations
 
 import pandas as pd
@@ -61,6 +62,19 @@ def test_best_template_is_optimal(paper_like_joins, zero_weight):
     assert best == pytest.approx(brute)
 
 
+@pytest.mark.parametrize("zero_weight", [0.0, 0.25])
+def test_fixed_prefix_template_is_optimal(paper_like_joins, zero_weight):
+    attrs = ["A", "B", "C", "D", "E", "F"]
+    for a, b in permutations(attrs, 2):
+        t = best_template(paper_like_joins, attrs, zero_weight=zero_weight, fixed_prefix=(a, b))
+        assert t[:2] == [a, b] and sorted(t) == attrs
+        brute = min(
+            template_cost(paper_like_joins, [a, b, *p], zero_weight=zero_weight)
+            for p in permutations([x for x in attrs if x not in (a, b)])
+        )
+        assert template_cost(paper_like_joins, t, zero_weight=zero_weight) == pytest.approx(brute)
+
+
 def test_template_prefers_original_chain(paper_like_joins):
     # The natural order A,B,C,D,E,F (or its reverse) is optimal here —
     # exactly the Example 7 argument.
@@ -72,6 +86,25 @@ def test_single_attribute_template():
     r = Relation("r", pd.DataFrame({"A": [1]}))
     j = chain("j", [r], [])
     assert best_template([j], ["A"]) == ["A"]
+
+
+def test_too_many_attributes_rejected_before_the_table():
+    cols = [f"A{i}" for i in range(19)]
+    j = chain("j", [Relation("r", pd.DataFrame({c: [1] for c in cols}))], [])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="up to 18"):
+            best_template([j], cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the table would be 2^19 × 19 floats (76 MiB)
+
+
+def test_two_attribute_fixed_prefix():
+    j = chain("j", [Relation("r", pd.DataFrame({"A": [1], "B": [2]}))], [])
+    assert best_template([j], fixed_prefix=("B", "A")) == ["B", "A"]
+    assert best_template([j], fixed_prefix=("A", "B")) == ["A", "B"]
 
 
 def test_tree_distance(paper_like_joins):
