@@ -1,8 +1,7 @@
 """Shared CLI plumbing for the per-table jobs.
 
 Each job prints the rows behind one evaluation table (see DESIGN.md §4)
-and is runnable either directly (``python jobs/t1_... --sf 0.01``) or via
-``spark-submit jobs/t1_...``.
+and runs as a plain Python script (``python jobs/t1_... --sf 0.01``).
 """
 import argparse
 

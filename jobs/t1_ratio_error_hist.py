@@ -5,11 +5,9 @@ import sys
 sys.path.insert(0, ".")
 from _common import base_parser  # noqa: E402
 
-from repro.experiments.session import get_spark, print_table  # noqa: E402
-from repro.experiments.tables import t1_ratio_error_hist  # noqa: E402
+from repro.experiments.tables import print_table, t1_ratio_error_hist  # noqa: E402
 
 if __name__ == "__main__":
     args = base_parser(__doc__).parse_args()
-    spark = get_spark("t1")
-    rows = t1_ratio_error_hist(spark, sf=args.sf)
+    rows = t1_ratio_error_hist(sf=args.sf)
     print_table(rows, "T1: ratio error, HISTOGRAM-BASED + EO (Fig 4a/4b)")

@@ -5,11 +5,9 @@ import sys
 sys.path.insert(0, ".")
 from _common import base_parser  # noqa: E402
 
-from repro.experiments.session import get_spark, print_table  # noqa: E402
-from repro.experiments.tables import t3_ratio_error_rw  # noqa: E402
+from repro.experiments.tables import print_table, t3_ratio_error_rw  # noqa: E402
 
 if __name__ == "__main__":
     args = base_parser(__doc__).parse_args()
-    spark = get_spark("t3")
-    rows = t3_ratio_error_rw(spark, sf=args.sf, seed=args.seed)
+    rows = t3_ratio_error_rw(sf=args.sf, seed=args.seed)
     print_table(rows, "T3: HISTOGRAM-BASED vs RANDOM-WALK error (Fig 5a)")

@@ -5,11 +5,9 @@ import sys
 sys.path.insert(0, ".")
 from _common import base_parser  # noqa: E402
 
-from repro.experiments.session import get_spark, print_table  # noqa: E402
-from repro.experiments.tables import t5_scale_samples  # noqa: E402
+from repro.experiments.tables import print_table, t5_scale_samples  # noqa: E402
 
 if __name__ == "__main__":
     args = base_parser(__doc__).parse_args()
-    spark = get_spark("t5")
-    rows = t5_scale_samples(spark, sf=args.sf, seed=args.seed)
+    rows = t5_scale_samples(sf=args.sf, seed=args.seed)
     print_table(rows, "T5: sampling time vs sample count (Fig 5c-e)")

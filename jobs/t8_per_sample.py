@@ -5,13 +5,11 @@ import sys
 sys.path.insert(0, ".")
 from _common import base_parser  # noqa: E402
 
-from repro.experiments.session import get_spark, print_table  # noqa: E402
-from repro.experiments.tables import T8_N, t8_per_sample  # noqa: E402
+from repro.experiments.tables import T8_N, print_table, t8_per_sample  # noqa: E402
 
 if __name__ == "__main__":
     p = base_parser(__doc__)
     p.add_argument("--n", type=int, default=T8_N)
     args = p.parse_args()
-    spark = get_spark("t8")
-    rows = t8_per_sample(spark, sf=args.sf, n=args.n, seed=args.seed)
+    rows = t8_per_sample(sf=args.sf, n=args.n, seed=args.seed)
     print_table(rows, "T8: per-sample time, reuse vs regular phase (Fig 6b)")

@@ -42,8 +42,9 @@ class Relation:
 
     @cached_property
     def df(self):
-        """A Spark view of :attr:`pdf`, built on first read. No sampling or
-        estimation path reads it; it serves checks that compare with Spark."""
+        """A Spark view of :attr:`pdf`, built on first read in the active
+        Spark session. No sampling, estimation or test path reads it; the
+        benchmark's DuckDB truth frames are collected through it."""
         from pyspark.sql import SparkSession
 
         return SparkSession.active().createDataFrame(self.pdf)
@@ -189,10 +190,6 @@ class Join:
             if id(n) in ids_a:
                 return ca[: ids_a[id(n)] + 1] + cb[:i][::-1]
         raise RuntimeError("disconnected join tree")
-
-    def tree_distance(self, a: str, b: str) -> int:
-        """Number of join edges between the relations holding ``a``, ``b``."""
-        return len(self.path(self.node_of_attr(a), self.node_of_attr(b))) - 1
 
     # ---- internals -------------------------------------------------------
     def _check_collisions(self) -> None:

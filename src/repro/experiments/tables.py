@@ -6,13 +6,11 @@ estimation) from sampling, and context preparation (index construction:
 Yannakakis reduction, EW weights, walk plans, membership index) is done
 by :func:`prewarm` beforehand so sampling measurements are steady-state —
 the paper likewise excludes its hash-index construction from sampling
-time.
+time. :func:`print_table` renders the rows as the jobs print them.
 """
 from __future__ import annotations
 
 import time
-
-from pyspark.sql import SparkSession
 
 from repro.core.exact import full_join_union
 from repro.core.histogram_union import auto_histogram_warmup, histogram_warmup
@@ -33,8 +31,8 @@ INSTANTIATIONS = [
 ]
 
 
-def build(spark: SparkSession, name: str, *, sf: float, overlap: float, **kw) -> Workload:
-    return WORKLOADS[name](spark, sf=sf, overlap=overlap, **kw)
+def build(name: str, *, sf: float, overlap: float, **kw) -> Workload:
+    return WORKLOADS[name](None, sf=sf, overlap=overlap, **kw)
 
 
 def prewarm(uctx: UnionContext) -> None:
@@ -59,7 +57,6 @@ def ratio_errors(est_ratios: dict, true_ratios: dict) -> dict:
 # T1 (Fig 4a/4b): error of |J_i|/|U| estimation, HISTOGRAM-BASED + EO,
 # vs overlap scale, on UQ1 and UQ3.
 def t1_ratio_error_hist(
-    spark: SparkSession,
     *,
     sf: float = 0.01,
     overlaps: tuple = (0.05, 0.1, 0.2, 0.4, 0.6, 0.8),
@@ -73,8 +70,8 @@ def t1_ratio_error_hist(
     rows = []
     for wname in workloads:
         for ov in overlaps:
-            w = build(spark, wname, sf=sf, overlap=ov)
-            ex = full_join_union(spark, w.joins)
+            w = build(wname, sf=sf, overlap=ov)
+            ex = full_join_union(None, w.joins)
             for sm in size_methods:
                 est = _hist_estimate(w, size_method=sm)
                 errs = ratio_errors(est.ratios, ex.ratios())
@@ -108,7 +105,6 @@ def t1_ratio_error_hist(
 # T2 (Fig 4c/4d): runtime of union size estimation — HISTOGRAM-BASED vs
 # FullJoinUnion — on UQ1 and UQ3, vs overlap scale.
 def t2_union_size_runtime(
-    spark: SparkSession,
     *,
     sf: float = 0.01,
     overlaps: tuple = (0.1, 0.2, 0.4, 0.8),
@@ -117,12 +113,12 @@ def t2_union_size_runtime(
     rows = []
     for wname in workloads:
         for ov in overlaps:
-            w = build(spark, wname, sf=sf, overlap=ov)
+            w = build(wname, sf=sf, overlap=ov)
             t0 = time.perf_counter()
             est = _hist_estimate(w)
             t_hist = time.perf_counter() - t0
             t0 = time.perf_counter()
-            ex = full_join_union(spark, w.joins)
+            ex = full_join_union(None, w.joins)
             t_full = time.perf_counter() - t0
             rows.append(
                 {
@@ -141,11 +137,11 @@ def t2_union_size_runtime(
 # T3 (Fig 5a): ratio-estimation error per join — HISTOGRAM-BASED+EO vs
 # RANDOM-WALK — on UQ1.
 def t3_ratio_error_rw(
-    spark: SparkSession, *, sf: float = 0.01, overlap: float = 0.2, seed: int = 0
+    *, sf: float = 0.01, overlap: float = 0.2, seed: int = 0
 ) -> list[dict]:
-    w = build(spark, "uq1", sf=sf, overlap=overlap)
+    w = build("uq1", sf=sf, overlap=overlap)
     prewarm(w.uctx)
-    ex = full_join_union(spark, w.joins)
+    ex = full_join_union(None, w.joins)
     hist = _hist_estimate(w)
     t0 = time.perf_counter()
     rw, _ = randomwalk_warmup(w.uctx, seed=seed)
@@ -168,7 +164,6 @@ def t3_ratio_error_rw(
 # --------------------------------------------------------------------------
 # T4 (Fig 5b): SetUnion sampling time vs data scale on UQ1.
 def t4_scale_data(
-    spark: SparkSession,
     *,
     sfs: tuple = (0.0025, 0.005, 0.01),
     n: int = 200,
@@ -177,7 +172,7 @@ def t4_scale_data(
 ) -> list[dict]:
     rows = []
     for sf in sfs:
-        w = build(spark, "uq1", sf=sf, overlap=overlap)
+        w = build("uq1", sf=sf, overlap=overlap)
         prewarm(w.uctx)
         for warm, sampler in INSTANTIATIONS:
             est = warmup_params(w.uctx, warm, seed=seed)
@@ -201,7 +196,6 @@ def t4_scale_data(
 # --------------------------------------------------------------------------
 # T5 (Fig 5c–e): sampling time vs sample count, all three instantiations.
 def t5_scale_samples(
-    spark: SparkSession,
     *,
     sf: float = 0.01,
     ns: tuple = (50, 100, 200, 400),
@@ -211,7 +205,7 @@ def t5_scale_samples(
 ) -> list[dict]:
     rows = []
     for wname in workloads:
-        w = build(spark, wname, sf=sf, overlap=overlap)
+        w = build(wname, sf=sf, overlap=overlap)
         prewarm(w.uctx)
         for warm, sampler in INSTANTIATIONS:
             t0 = time.perf_counter()
@@ -239,7 +233,6 @@ def t5_scale_samples(
 # --------------------------------------------------------------------------
 # T6 (Fig 5f–h): time breakdown — parameter estimation / accepted / rejected.
 def t6_breakdown(
-    spark: SparkSession,
     *,
     sf: float = 0.01,
     n: int = 200,
@@ -249,7 +242,7 @@ def t6_breakdown(
 ) -> list[dict]:
     rows = []
     for wname in workloads:
-        w = build(spark, wname, sf=sf, overlap=overlap)
+        w = build(wname, sf=sf, overlap=overlap)
         prewarm(w.uctx)
         for warm, sampler in INSTANTIATIONS:
             res = set_union_sample(
@@ -273,7 +266,6 @@ def t6_breakdown(
 # --------------------------------------------------------------------------
 # T7 (Fig 6a): ONLINE-UNION time vs sample size, with vs without reuse.
 def t7_reuse(
-    spark: SparkSession,
     *,
     sf: float = 0.01,
     ns: tuple = (50, 100, 200, 400),
@@ -283,7 +275,7 @@ def t7_reuse(
 ) -> list[dict]:
     rows = []
     for wname in workloads:
-        w = build(spark, wname, sf=sf, overlap=overlap)
+        w = build(wname, sf=sf, overlap=overlap)
         prewarm(w.uctx)
         for reuse in (True, False):
             for n in ns:
@@ -313,7 +305,6 @@ T8_N = 1000
 
 
 def t8_per_sample(
-    spark: SparkSession,
     *,
     sf: float = 0.01,
     n: int = T8_N,
@@ -323,7 +314,7 @@ def t8_per_sample(
 ) -> list[dict]:
     rows = []
     for wname in workloads:
-        w = build(spark, wname, sf=sf, overlap=overlap)
+        w = build(wname, sf=sf, overlap=overlap)
         prewarm(w.uctx)
         res = online_union_sample(w.uctx, n, reuse=True, seed=seed)
         rows.append(
@@ -336,3 +327,25 @@ def t8_per_sample(
             }
         )
     return rows
+
+
+def print_table(rows: list[dict], title: str) -> None:
+    """Render rows as an aligned text table on stdout."""
+    if not rows:
+        print(f"== {title}: no rows ==")
+        return
+    cols = list(rows[0].keys())
+    widths = {
+        c: max(len(str(c)), *(len(_fmt(r.get(c))) for r in rows)) for c in cols
+    }
+    print(f"== {title} ==")
+    print("  ".join(str(c).ljust(widths[c]) for c in cols))
+    for r in rows:
+        print("  ".join(_fmt(r.get(c)).ljust(widths[c]) for c in cols))
+    print()
+
+
+def _fmt(v) -> str:
+    if isinstance(v, float):
+        return f"{v:.4g}"
+    return str(v)

@@ -15,8 +15,6 @@ keeping attributes in their original relations.
 """
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 from repro.core.join_spec import Join
@@ -33,16 +31,6 @@ def _score_matrix(joins: list[Join], attrs: list[str], zero_weight: float) -> np
         d = hops[np.ix_(at, at)]
         c += np.where(d == 0, zero_weight, d)
     return c
-
-
-def pair_scores(
-    joins: list[Join], attrs: list[str], *, zero_weight: float = 0.0
-) -> dict[frozenset, float]:
-    """score(A, A') = Σ_j Dist_j(A, A'), with distance-0 terms replaced by
-    ``zero_weight``."""
-    c = _score_matrix(joins, attrs, zero_weight)
-    pairs = combinations(range(len(attrs)), 2)
-    return {frozenset((attrs[i], attrs[k])): float(c[i, k]) for i, k in pairs}
 
 
 def _walk(h: np.ndarray, c: np.ndarray, mask: int, i: int, pick: int) -> list[int]:
@@ -113,11 +101,3 @@ def best_template(
     ``fixed_prefix`` (see :func:`best_templates`)."""
     return best_templates(joins, [fixed_prefix], attrs, zero_weight=zero_weight)[0]
 
-
-def template_cost(joins: list[Join], template: list[str], *, zero_weight: float = 0.0) -> float:
-    """Total score of consecutive pairs — for tests against brute force."""
-    scores = pair_scores(joins, template, zero_weight=zero_weight)
-    return sum(
-        scores[frozenset((template[i], template[i + 1]))]
-        for i in range(len(template) - 1)
-    )

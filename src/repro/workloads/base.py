@@ -99,8 +99,9 @@ def expected_overlap_fraction(tiers: list[Tier], delta: frozenset[int]) -> float
 class Workload:
     """A union-of-joins workload: joins + their UnionContext + metadata.
 
-    ``spark`` is the session the workload was built with. Nothing in the
-    package reads it; the benchmark passes it on to ``full_join_union``."""
+    ``spark`` is the session the workload was built with (``None`` outside
+    the benchmark). Nothing in the package reads it; the benchmark passes
+    it on to ``full_join_union``."""
 
     name: str
     spark: object

@@ -4,6 +4,7 @@ its relations' collected frames.
 ``count`` is the join's bag size (``COUNT(*)``), ``rows`` its distinct
 value tuples, ``members`` a candidate-by-join membership matrix and
 ``DuckJoins.from_where`` the ``FROM … WHERE`` clause the others share.
+``assert_equivalent`` checks a pandas result against hand-written SQL.
 """
 import duckdb
 import numpy as np
@@ -88,3 +89,30 @@ def members(candidates: pd.DataFrame, joins) -> np.ndarray:
     """DuckDB's candidate-by-join membership matrix."""
     with DuckJoins() as db:
         return db.members(candidates, joins)
+
+
+def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
+    # Canonical column order first, then row order by those columns, so
+    # two results that differ only in projection order compare equal.
+    pdf = pdf[sorted(pdf.columns)].reset_index(drop=True).copy()
+    for c in pdf.select_dtypes(include=["float", "float64"]).columns:
+        pdf[c] = pdf[c].round(6)
+    return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
+
+
+def assert_equivalent(got: pd.DataFrame, sql: str, **tables: pd.DataFrame) -> None:
+    """Run ``sql`` in DuckDB over the frames ``tables`` and assert that its
+    rows equal ``got`` in any row and column order. Alias every output
+    column identically on both sides and project to scalar columns."""
+    con = duckdb.connect()
+    try:
+        for name, t in tables.items():
+            con.register(name, t)
+        expected = con.execute(sql).fetchdf()
+    finally:
+        con.close()
+    assert set(expected.columns) == set(got.columns), (
+        f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
+        "— alias every output column identically on both sides"
+    )
+    pd.testing.assert_frame_equal(_canon(got), _canon(expected), check_dtype=False)

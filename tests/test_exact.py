@@ -37,16 +37,16 @@ def brute_atoms(full: list[pd.DataFrame], names: list[str]) -> dict:
     return atoms
 
 
-def test_atoms_match_bruteforce(spark, joins):
+def test_atoms_match_bruteforce(joins):
     js, full = joins
-    ex = full_join_union(spark, js)
+    ex = full_join_union(None, js)
     expected = brute_atoms(full, [j.name for j in js])
     assert ex.atoms == expected
 
 
-def test_sizes_and_union(spark, joins):
+def test_sizes_and_union(joins):
     js, full = joins
-    ex = full_join_union(spark, js)
+    ex = full_join_union(None, js)
     for j, f in zip(js, full):
         assert ex.sizes[j.name] == len(f)
     u = set()
@@ -56,24 +56,24 @@ def test_sizes_and_union(spark, joins):
     assert len(union_tuples(js)) == len(u)
 
 
-def test_overlap_queries(spark, joins):
+def test_overlap_queries(joins):
     js, full = joins
-    ex = full_join_union(spark, js)
+    ex = full_join_union(None, js)
     k0 = set(map(tuple, full[0][["x", "pa", "bx", "pb"]].itertuples(index=False)))
     k1 = set(map(tuple, full[1][["x", "pa", "bx", "pb"]].itertuples(index=False)))
     assert ex.overlap(frozenset([js[0].name, js[1].name])) == len(k0 & k1)
 
 
-def test_ratios_sum(spark, joins):
+def test_ratios_sum(joins):
     js, _ = joins
-    ex = full_join_union(spark, js)
+    ex = full_join_union(None, js)
     r = ex.ratios()
     assert all(0 < v <= 1 for v in r.values())
 
 
-def test_stats_consistent_with_koverlap(spark, joins):
+def test_stats_consistent_with_koverlap(joins):
     js, _ = joins
-    ex = full_join_union(spark, js)
+    ex = full_join_union(None, js)
     st = ex.stats
     assert st["union"] == ex.union
     assert st["sizes"] == ex.sizes
@@ -112,7 +112,7 @@ def _ints(*vals):
 
 
 @pytest.mark.parametrize("using", [False, True])
-def test_null_join_keys_match_duckdb(spark, using):
+def test_null_join_keys_match_duckdb(using):
     """A null join key matches nothing, on a different-name edge and on a
     USING edge alike; null payloads group together across joins."""
     key = "x" if using else "bx"
@@ -122,7 +122,7 @@ def test_null_join_keys_match_duckdb(spark, using):
         xs, pas = _ints(1, None, 2, None, 3, 1)[lo:hi], _ints(0, 1, None, 3, None, 5)[lo:hi]
         a = _rel("a", x=xs, pa=pas)
         joins.append(chain(f"n{i}", [a, b], [("x", key)]))
-    ex = full_join_union(spark, joins)
+    ex = full_join_union(None, joins)
     assert ex.atoms == duckdb_atoms(joins)
     # (2, null, 2, null) is in both joins: one tuple, whose nulls group
     n0, n1 = (j.name for j in joins)
@@ -131,7 +131,7 @@ def test_null_join_keys_match_duckdb(spark, using):
 
 
 @pytest.mark.parametrize("root", ["a", "b"])
-def test_hidden_join_key_matches_duckdb(spark, root):
+def test_hidden_join_key_matches_duckdb(root):
     """A hidden ``__rid`` key (a vertical-split rejoin) is carried through
     an earlier merge until its edge joins on it, whether it sits on the
     root or on a child, and never reaches the output tuple."""
@@ -147,16 +147,16 @@ def test_hidden_join_key_matches_duckdb(spark, root):
             tree = Node(b, [Edge("bx", "x", Node(a, [split]))])
         joins.append(Join(f"h{i}", tree))
     assert not any(c.startswith("__") for c in joins[0].full_pdf().columns)
-    ex = full_join_union(spark, joins)
+    ex = full_join_union(None, joins)
     assert ex.atoms == duckdb_atoms(joins)
     h0, h1 = (j.name for j in joins)
     assert ex.atoms == {frozenset([h0]): 1, frozenset([h0, h1]): 2}
 
 
-def test_uq3_atoms_match_duckdb(spark):
+def test_uq3_atoms_match_duckdb():
     """Split relations, the USING rejoin of the vertical split and the m:n
     nationkey edge: FullJoinUnion's atoms equal DuckDB's."""
-    w = uq3(spark, sf=0.002, overlap=0.2, seed=3)
-    ex = full_join_union(spark, w.joins)
+    w = uq3(None, sf=0.002, overlap=0.2, seed=3)
+    ex = full_join_union(None, w.joins)
     assert ex.atoms == duckdb_atoms(w.joins)
     assert len(ex.atoms) > 1

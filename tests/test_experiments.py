@@ -3,15 +3,14 @@ end-to-end and returns rows with the expected columns and shapes."""
 import pytest
 
 from repro.experiments import tables as T
-from repro.experiments.session import print_table
 
 SF = 0.002
 
 
 @pytest.fixture(scope="module")
-def rows_t1(spark):
+def rows_t1():
     return T.t1_ratio_error_hist(
-        spark, sf=SF, overlaps=(0.2, 0.6), workloads=("uq1", "uq3")
+        sf=SF, overlaps=(0.2, 0.6), workloads=("uq1", "uq3")
     )
 
 
@@ -36,9 +35,9 @@ def test_t1_error_shrinks_with_overlap(rows_t1):
         assert errs[0.6] <= errs[0.2] + 0.05
 
 
-def test_t2_rows(spark):
+def test_t2_rows():
     rows = T.t2_union_size_runtime(
-        spark, sf=SF, overlaps=(0.3,), workloads=("uq1",)
+        sf=SF, overlaps=(0.3,), workloads=("uq1",)
     )
     assert len(rows) == 1
     r = rows[0]
@@ -46,8 +45,8 @@ def test_t2_rows(spark):
     assert r["hist_union_est"] >= r["true_union"] * 0.5
 
 
-def test_t3_rows(spark):
-    rows = T.t3_ratio_error_rw(spark, sf=SF, overlap=0.3)
+def test_t3_rows():
+    rows = T.t3_ratio_error_rw(sf=SF, overlap=0.3)
     assert len(rows) == 5  # five UQ1 joins
     for r in rows:
         # the Fig 5a shape: RANDOM-WALK beats HISTOGRAM-BASED
@@ -55,20 +54,20 @@ def test_t3_rows(spark):
         assert r["rw_error"] < 0.15
 
 
-def test_t4_rows(spark):
-    rows = T.t4_scale_data(spark, sfs=(0.001, SF), n=40)
+def test_t4_rows():
+    rows = T.t4_scale_data(sfs=(0.001, SF), n=40)
     assert len(rows) == 2 * len(T.INSTANTIATIONS)
     assert all(r["n"] == 40 and r["seconds"] > 0 for r in rows)
 
 
-def test_t5_rows(spark):
-    rows = T.t5_scale_samples(spark, sf=SF, ns=(20, 60), workloads=("uq2",))
+def test_t5_rows():
+    rows = T.t5_scale_samples(sf=SF, ns=(20, 60), workloads=("uq2",))
     assert len(rows) == 2 * len(T.INSTANTIATIONS)
     assert all(r["sampling_seconds"] > 0 for r in rows)
 
 
-def test_t6_rows(spark):
-    rows = T.t6_breakdown(spark, sf=SF, n=40, workloads=("uq2",))
+def test_t6_rows():
+    rows = T.t6_breakdown(sf=SF, n=40, workloads=("uq2",))
     assert len(rows) == len(T.INSTANTIATIONS)
     for r in rows:
         assert r["warmup_seconds"] >= 0
@@ -76,23 +75,23 @@ def test_t6_rows(spark):
         assert r["rejected_seconds"] >= 0
 
 
-def test_t7_rows(spark):
-    rows = T.t7_reuse(spark, sf=SF, ns=(40,), workloads=("uq2",))
+def test_t7_rows():
+    rows = T.t7_reuse(sf=SF, ns=(40,), workloads=("uq2",))
     assert len(rows) == 2
     with_reuse = next(r for r in rows if r["reuse"])
     assert with_reuse["reuse_accepted"] > 0
 
 
-def test_t8_rows(spark):
-    rows = T.t8_per_sample(spark, sf=SF, n=60, workloads=("uq2",))
+def test_t8_rows():
+    rows = T.t8_per_sample(sf=SF, n=60, workloads=("uq2",))
     assert len(rows) == 1
     r = rows[0]
     assert r["reuse_accepted"] + r["regular_accepted"] >= 60
 
 
 def test_print_table_renders(capsys):
-    print_table([{"a": 1, "b": 2.5}, {"a": 10, "b": 0.25}], "demo")
+    T.print_table([{"a": 1, "b": 2.5}, {"a": 10, "b": 0.25}], "demo")
     out = capsys.readouterr().out
     assert "demo" in out and "10" in out
-    print_table([], "empty")
+    T.print_table([], "empty")
     assert "no rows" in capsys.readouterr().out

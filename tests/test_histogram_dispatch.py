@@ -6,13 +6,13 @@ from repro.workloads import uq2, uq3
 
 
 @pytest.fixture(scope="module")
-def w2(spark):
-    return uq2(spark, sf=0.002, overlap=0.6)
+def w2():
+    return uq2(None, sf=0.002, overlap=0.6)
 
 
 @pytest.fixture(scope="module")
-def w3(spark):
-    return uq3(spark, sf=0.002, overlap=0.3)
+def w3():
+    return uq3(None, sf=0.002, overlap=0.3)
 
 
 def test_chain_workload_dispatch(w2):

@@ -3,6 +3,7 @@ import pandas as pd
 import pytest
 
 from repro.core.join_spec import Edge, Join, Node, Relation, chain
+from repro.splitting.template import _score_matrix
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +92,9 @@ def test_node_of_attr_and_missing(rels):
 def test_tree_distance_chain(rels):
     a, b, c = rels
     j = chain("j", [a, b, c], [("x", "bx"), ("y", "cy")])
-    assert j.tree_distance("pa", "pc") == 2
-    assert j.tree_distance("y", "pb") == 0
+    hops = _score_matrix([j], ["pa", "pc", "y", "pb"], zero_weight=0)
+    assert hops[0, 1] == 2
+    assert hops[2, 3] == 0
 
 
 def test_hidden_cols_excluded():

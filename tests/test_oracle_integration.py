@@ -1,13 +1,13 @@
 """DuckDB oracle checks: every workload join's driver result equals the
 equivalent SQL on the same inputs (catches broken join composition)."""
-from repro.oracle import assert_equivalent
+from duckjoin import assert_equivalent
 from repro.workloads import uq1, uq2, uq3
 
 
-def test_uq1_join_matches_sql(spark):
-    w = uq1(spark, sf=0.001, overlap=0.2, n_joins=1)
+def test_uq1_join_matches_sql():
+    w = uq1(None, sf=0.001, overlap=0.2, n_joins=1)
     j = w.joins[0]
-    rels = {r.name: r.df for r in j.relations()}
+    rels = {r.name: r.pdf for r in j.relations()}
     cols = ", ".join(j.value_cols)
     sql = f"""
         select distinct {cols}
@@ -27,10 +27,10 @@ def test_uq1_join_matches_sql(spark):
     )
 
 
-def test_uq2_join_matches_sql(spark):
-    w = uq2(spark, sf=0.002, overlap=0.6)
+def test_uq2_join_matches_sql():
+    w = uq2(None, sf=0.002, overlap=0.6)
     j = w.joins[1]
-    rels = {r.name: r.df for r in j.relations()}
+    rels = {r.name: r.pdf for r in j.relations()}
     cols = ", ".join(j.value_cols)
     sql = f"""
         select distinct {cols}
@@ -50,10 +50,10 @@ def test_uq2_join_matches_sql(spark):
     )
 
 
-def test_uq3_acyclic_join_matches_sql(spark):
-    w = uq3(spark, sf=0.002, overlap=0.2)
+def test_uq3_acyclic_join_matches_sql():
+    w = uq3(None, sf=0.002, overlap=0.2)
     j = w.joins[0]
-    rels = {r.name: r.df for r in j.relations()}
+    rels = {r.name: r.pdf for r in j.relations()}
     cols = ", ".join(j.value_cols)
     sql = f"""
         select distinct {cols}
@@ -73,12 +73,12 @@ def test_uq3_acyclic_join_matches_sql(spark):
     )
 
 
-def test_uq3_split_chain_matches_unsplit(spark):
+def test_uq3_split_chain_matches_unsplit():
     """Lossless vertical split: the J2 chain through customer_a ⋈
     customer_b equals the same join with customer unsplit."""
-    w = uq3(spark, sf=0.002, overlap=0.2)
+    w = uq3(None, sf=0.002, overlap=0.2)
     j2 = w.joins[2]
-    rels = {r.name: r.df for r in j2.relations()}
+    rels = {r.name: r.pdf for r in j2.relations()}
     cols = ", ".join(j2.value_cols)
     sql = f"""
         select distinct {cols}
@@ -86,7 +86,7 @@ def test_uq3_split_chain_matches_unsplit(spark):
         join customer on s_nationkey = c_nationkey
         join orders on c_custkey = o_custkey
     """
-    customer = next(r.df for r in w.joins[1].relations() if r.name == "customer")
+    customer = next(r.pdf for r in w.joins[1].relations() if r.name == "customer")
     assert_equivalent(
         j2.full_pdf(),
         sql,

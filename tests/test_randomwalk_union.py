@@ -15,7 +15,7 @@ from repro.core.randomwalk_union import (
 
 
 @pytest.fixture(scope="module")
-def workload(spark):
+def workload():
     g = np.random.default_rng(3)
     n = 100
     a = pd.DataFrame({"x": g.integers(1, 15, n), "pa": np.arange(n)})
@@ -26,7 +26,7 @@ def workload(spark):
         rb = Relation("b", b)
         joins.append(chain(f"w{i}", [ra, rb], [("x", "bx")]))
     uctx = UnionContext(joins)
-    ex = full_join_union(spark, joins)
+    ex = full_join_union(None, joins)
     return uctx, ex
 
 

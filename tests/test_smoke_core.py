@@ -51,7 +51,7 @@ def test_sample_join_eo(tiny):
     assert len(s) == 50
 
 
-def test_full_join_union_and_membership(spark, tiny):
+def test_full_join_union_and_membership(tiny):
     r2 = Relation(
         "r",
         pd.DataFrame({"a": [1, 2], "x": [10, 12]}),
@@ -61,7 +61,7 @@ def test_full_join_union_and_membership(spark, tiny):
         pd.DataFrame({"b": [1, 2], "y": [20, 22]}),
     )
     j2 = chain("j2", [r2, s2], [("a", "b")])
-    ex = full_join_union(spark, [tiny, j2])
+    ex = full_join_union(None, [tiny, j2])
     assert ex.sizes["j1"] == 6
     assert ex.sizes["j2"] == 2  # (1,10,20),(2,12,22)
     assert ex.overlap(frozenset(["j1", "j2"])) == 2

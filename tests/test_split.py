@@ -17,13 +17,13 @@ from repro.workloads import uq3
 
 
 @pytest.fixture(scope="module")
-def w3(spark):
-    return uq3(spark, sf=0.004, overlap=0.3)
+def w3():
+    return uq3(None, sf=0.004, overlap=0.3)
 
 
 @pytest.fixture(scope="module")
-def exact3(spark, w3):
-    return full_join_union(spark, w3.joins)
+def exact3(w3):
+    return full_join_union(None, w3.joins)
 
 
 def test_candidate_templates_cover_anchors(w3):
@@ -78,7 +78,7 @@ def test_candidate_templates_pinned(w3):
 
 
 @pytest.mark.parametrize("refine", ["max"])
-def test_bounds_sound_all_templates_all_deltas(spark, w3, exact3, refine):
+def test_bounds_sound_all_templates_all_deltas(w3, exact3, refine):
     """Every candidate template must upper-bound every true overlap."""
     names = [j.name for j in w3.joins]
     for t in candidate_templates(w3.joins):
@@ -90,7 +90,7 @@ def test_bounds_sound_all_templates_all_deltas(spark, w3, exact3, refine):
                 assert bound >= truth - 1e-6, f"template {t[:3]}… unsound for {d}"
 
 
-def test_min_over_templates_tighter(spark, w3, exact3):
+def test_min_over_templates_tighter(w3, exact3):
     names = [j.name for j in w3.joins]
     view_sets = split_view_sets(w3.joins, refine="max")
     d = frozenset(names)
@@ -101,7 +101,7 @@ def test_min_over_templates_tighter(spark, w3, exact3):
     assert min(bounds) >= exact3.overlap(d) - 1e-6
 
 
-def test_single_join_bound_covers_size(spark, w3):
+def test_single_join_bound_covers_size(w3):
     from duckjoin import count
 
     j = w3.joins[1]

@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.core.join_spec import Edge, Join, Node, Relation, chain
-from repro.splitting.template import best_template, pair_scores, template_cost
+from repro.splitting.template import _score_matrix, best_template
 
 
 @pytest.fixture(scope="module")
@@ -38,15 +38,21 @@ def paper_like_joins():
     return [j1, j2, j3]
 
 
+def template_cost(joins, template, *, zero_weight=0.0):
+    """Total score of a template's consecutive pairs."""
+    c = _score_matrix(joins, template, zero_weight)
+    return sum(c[i, i + 1] for i in range(len(template) - 1))
+
+
 def test_pair_scores_colocated_zero(paper_like_joins):
-    scores = pair_scores(paper_like_joins, ["A", "B", "C", "D", "E", "F"])
-    assert scores[frozenset(("A", "B"))] == 0.0  # co-located everywhere
+    c = _score_matrix(paper_like_joins, ["A", "B"], 0.0)
+    assert c[0, 1] == c[1, 0] == 0.0  # co-located everywhere
 
 
 def test_pair_scores_distance_sum(paper_like_joins):
-    scores = pair_scores(paper_like_joins, ["A", "B", "C", "D", "E", "F"])
+    c = _score_matrix(paper_like_joins, ["A", "F"], 0.0)
     # A..F distances: j1 = 4 edges, j2 = 2 edges, j3 = A in root, F in t3 → 1
-    assert scores[frozenset(("A", "F"))] == 4 + 2 + 1
+    assert c[0, 1] == c[1, 0] == 4 + 2 + 1
 
 
 @pytest.mark.parametrize("zero_weight", [0.0, 0.25])
@@ -108,8 +114,9 @@ def test_two_attribute_fixed_prefix():
 
 
 def test_tree_distance(paper_like_joins):
-    j3 = paper_like_joins[2]
-    assert j3.tree_distance("A", "B") == 0
-    assert j3.tree_distance("C", "D") == 0
-    assert j3.tree_distance("A", "C") == 1
-    assert j3.tree_distance("C", "F") == 2  # via the root
+    """With ``zero_weight=0`` one join's score is its hop count."""
+    hops = _score_matrix(paper_like_joins[2:], list("ABCDF"), zero_weight=0)
+    assert hops[0, 1] == 0  # A, B
+    assert hops[2, 3] == 0  # C, D
+    assert hops[0, 2] == 1  # A, C
+    assert hops[2, 4] == 2  # C, F via the root

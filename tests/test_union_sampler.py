@@ -1,27 +1,19 @@
 """Algorithm 1: uniformity over the set union (Theorem 1), variants,
 cost accounting. Uses a 3-join union with substantial, asymmetric overlap
 so cover sizes genuinely differ from join sizes."""
-import itertools
-
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.cyclic import decompose_triangle, sample_cyclic
-from repro.core.exact import full_join_union, union_tuples
-from repro.core.histogram_union import auto_histogram_warmup, build_estimate
+from repro.core.exact import union_tuples
+from repro.core.histogram_union import build_estimate
 from repro.core.join_sampler import UnionContext
 from repro.core.join_spec import Relation, chain
-from repro.core.membership import MembershipIndex
-from repro.core.online_union import online_union_sample
 from repro.core.union_sampler import (
     disjoint_union_sample,
     set_union_sample,
     warmup_params,
 )
-from repro.core.randomwalk_union import randomwalk_warmup
-from repro.experiments.tables import prewarm
-from repro.workloads import uq1, uq2, uq3
 from deadline import deadline
 from statutil import assert_not_uniform, assert_uniform
 
@@ -159,96 +151,6 @@ def test_unknown_variant(uctx, exact_est):
 def test_unknown_warmup(uctx):
     with pytest.raises(ValueError):
         warmup_params(uctx, "nope")
-
-
-def _count_jobs(spark, fn):
-    """(result of ``fn()``, Spark jobs it started), via a job group."""
-    sc = spark.sparkContext
-    group = f"test-jobs-{next(_groups)}"
-    sc.setJobGroup(group, "job-count test")
-    try:
-        result = fn()
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    sc._jsc.sc().listenerBus().waitUntilEmpty(30_000)
-    return result, len(sc.statusTracker().getJobIdsForGroup(group))
-
-
-_groups = itertools.count()
-
-
-def test_one_walk_job_per_round(spark, uctx, exact_est):
-    """No Spark on the sampling path: once the joins' walk plans are built,
-    walks, membership probes and a fresh membership index start no job."""
-    for name in uctx.names:
-        uctx.ctx(name).plan
-    uctx.membership
-    res, jobs = _count_jobs(
-        spark,
-        lambda: set_union_sample(uctx, 200, warmup=exact_est, sampler="eo", seed=19),
-    )
-    assert len(res.samples) == 200
-    assert 1 <= res.rounds and jobs == 0
-    _, jobs = _count_jobs(
-        spark, lambda: randomwalk_warmup(uctx, batch=200, max_samples=600, seed=20)
-    )
-    assert jobs == 0
-    _, jobs = _count_jobs(spark, lambda: MembershipIndex(uctx.joins))
-    assert jobs == 0
-
-
-def test_warmups_start_no_job(spark, uctx):
-    """Degree statistics come from the relations' frames: once
-    the walk plans are built, a HISTOGRAM-BASED warm-up starts no Spark job
-    on a chain union or on UQ3 (the splitting path), and neither does
-    ONLINE-UNION, which runs one on every call."""
-    w3 = uq3(spark, sf=0.002, overlap=0.2, seed=4)
-    for u in (uctx, w3.uctx):
-        for name in u.names:
-            u.ctx(name).plan
-        for method in ("eo", "ew"):
-            _, jobs = _count_jobs(spark, lambda: auto_histogram_warmup(u, size_method=method))
-            assert jobs == 0, (u.names, method)
-    res, jobs = _count_jobs(spark, lambda: online_union_sample(uctx, 100, reuse=True, seed=23))
-    assert len(res.samples) == 100
-    assert jobs == 0
-
-
-def test_exact_and_cyclic_start_no_job(spark, uctx):
-    """FullJoinUnion and cyclic sampling run on the driver and start no
-    Spark job."""
-    w3 = uq3(spark, sf=0.002, overlap=0.2, seed=4)
-    for u in (uctx, w3.uctx):
-        ex, jobs = _count_jobs(spark, lambda: full_join_union(spark, u.joins))
-        assert ex.union > 0 and jobs == 0, u.names
-    g = np.random.default_rng(5)
-    frames = [
-        pd.DataFrame({a: g.integers(1, 5, 20), b: g.integers(1, 5, 20)})
-        for a, b in ["ab", "bc", "ca"]
-    ]
-    r1, r2, r3 = (Relation(f"r{i}", f) for i, f in enumerate(frames))
-    cj = decompose_triangle("tri", r1, r2, ("b", "b"), r3)
-    assert cj.size_bound() > 0  # builds the skeleton's walk plan
-    s, jobs = _count_jobs(spark, lambda: sample_cyclic(cj, 50, seed=6))
-    assert len(s) == 50 and jobs == 0
-
-
-@pytest.mark.parametrize("build", [uq1, uq2, uq3])
-def test_workloads_build_without_spark_jobs(spark, build):
-    """Relations are pandas frames from generation on: building a workload,
-    reading every relation and building its indexes start no Spark job. So
-    Spark's partitioning cannot reorder a relation, and a seed gives the
-    same samples whatever the master."""
-
-    def build_and_index():
-        w = build(spark, sf=0.002, seed=5)
-        for j in w.joins:
-            for r in j.relations():
-                r.pdf
-        prewarm(w.uctx)
-
-    _, jobs = _count_jobs(spark, build_and_index)
-    assert jobs == 0
 
 
 @pytest.mark.parametrize("empty_size", [0.0, 50.0])

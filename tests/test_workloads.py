@@ -1,6 +1,7 @@
 """Workloads UQ1/UQ2/UQ3: schema alignment, analytic overlap structure."""
 from itertools import combinations
 
+import duckdb
 import pytest
 
 from duckjoin import count
@@ -16,13 +17,13 @@ from repro.workloads.uq3 import order_windows
 
 
 @pytest.fixture(scope="module")
-def w1(spark):
-    return uq1(spark, sf=0.002, overlap=0.3, n_joins=3)
+def w1():
+    return uq1(None, sf=0.002, overlap=0.3, n_joins=3)
 
 
 @pytest.fixture(scope="module")
-def ex1(spark, w1):
-    return full_join_union(spark, w1.joins)
+def ex1(w1):
+    return full_join_union(None, w1.joins)
 
 
 def test_uq1_schema_aligned(w1):
@@ -47,9 +48,9 @@ def test_uq1_tier_overlaps_exact(w1, ex1):
 
 
 @pytest.mark.parametrize("p", [0.1, 0.5])
-def test_uq1_union_scales_with_overlap(spark, p):
-    w = uq1(spark, sf=0.001, overlap=p, n_joins=2)
-    ex = full_join_union(spark, w.joins)
+def test_uq1_union_scales_with_overlap(p):
+    w = uq1(None, sf=0.001, overlap=p, n_joins=2)
+    ex = full_join_union(None, w.joins)
     n = w.meta["n_lineitem"]
     # pairwise tiers: P (all) + P/3 ({0,1}) shared ⇒ |U| = 2n − (P + P/3)n
     expect = 2 * n - (p + p / 3) * n
@@ -78,9 +79,9 @@ def test_default_tiers_fractions():
     assert sum(t.frac for t in tiers) <= 1.0
 
 
-def test_uq2_overlap_via_predicates(spark):
-    w = uq2(spark, sf=0.004, overlap=0.6)
-    ex = full_join_union(spark, w.joins)
+def test_uq2_overlap_via_predicates():
+    w = uq2(None, sf=0.004, overlap=0.6)
+    ex = full_join_union(None, w.joins)
     names = [j.name for j in w.joins]
     windows = w.meta["windows"]
     # consecutive windows overlap; first and last may not
@@ -91,27 +92,28 @@ def test_uq2_overlap_via_predicates(spark):
         assert ex.overlap(frozenset([names[0], names[2]])) == 0
 
 
-def test_uq2_sizes_are_filtered_partsupp_counts(spark):
-    w = uq2(spark, sf=0.004, overlap=0.6)
-    for j, (lo, hi) in zip(w.joins, w.meta["windows"]):
-        # every partsupp row with part in window yields exactly one tuple
-        part = j.relations()[-1].df
-        ps = j.relations()[-2].df
-        n = ps.join(part, ps["ps_partkey"] == part["p_partkey"]).count()
-        assert count(j) == n
+def test_uq2_sizes_are_filtered_partsupp_counts():
+    w = uq2(None, sf=0.004, overlap=0.6)
+    # every partsupp row with part in window yields exactly one tuple
+    with duckdb.connect() as con:
+        for j in w.joins:
+            con.register("part", j.relations()[-1].pdf)
+            con.register("ps", j.relations()[-2].pdf)
+            sql = "select count(*) from ps join part on ps_partkey = p_partkey"
+            assert count(j) == con.execute(sql).fetchone()[0]
 
 
-def test_uq3_schema_aligned(spark):
-    w = uq3(spark, sf=0.002, overlap=0.2)
+def test_uq3_schema_aligned():
+    w = uq3(None, sf=0.002, overlap=0.2)
     cols = [set(j.value_cols) for j in w.joins]
     assert all(c == cols[0] for c in cols)
     assert not w.joins[0].is_chain()
     assert w.joins[1].is_chain() and w.joins[2].is_chain()
 
 
-def test_uq3_window_overlap_structure(spark):
-    w = uq3(spark, sf=0.004, overlap=0.4)
-    ex = full_join_union(spark, w.joins)
+def test_uq3_window_overlap_structure():
+    w = uq3(None, sf=0.004, overlap=0.4)
+    ex = full_join_union(None, w.joins)
     names = [j.name for j in w.joins]
     (l0, h0), (l1, h1), (l2, h2) = w.meta["windows"]
     assert ex.overlap(frozenset([names[0], names[1]])) > 0
@@ -126,13 +128,13 @@ def test_order_windows_tile():
     assert all(ws[i][1] > ws[i + 1][0] for i in range(2))  # consecutive overlap
 
 
-def test_uq3_fake_edge_marked(spark):
-    w = uq3(spark, sf=0.002, overlap=0.2)
+def test_uq3_fake_edge_marked():
+    w = uq3(None, sf=0.002, overlap=0.2)
     fakes = [e.fake for _, e in w.joins[2].edges()]
     assert fakes == [False, True, False]
 
 
-def test_uq1_eo_acceptance_reasonable(spark, w1):
+def test_uq1_eo_acceptance_reasonable(w1):
     """The Olken bound on UQ1's chain stays within ~10× of the truth, so
     EO sampling is usable (the paper's EO-vs-EW gap, not a cliff)."""
     ctx = w1.uctx.ctx(w1.joins[0].name)
