@@ -1,19 +1,28 @@
 """Algorithm 1: uniformity over the set union (Theorem 1), variants,
 cost accounting. Uses a 3-join union with substantial, asymmetric overlap
 so cover sizes genuinely differ from join sizes."""
+import importlib.abc
+import sys
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.exact import union_tuples
-from repro.core.histogram_union import build_estimate
+from repro.core.cyclic import decompose_triangle, sample_cyclic
+from repro.core.exact import full_join_union, union_tuples
+from repro.core.histogram_union import auto_histogram_warmup, build_estimate
 from repro.core.join_sampler import UnionContext
 from repro.core.join_spec import Relation, chain
+from repro.core.membership import MembershipIndex
+from repro.core.online_union import online_union_sample
 from repro.core.union_sampler import (
     disjoint_union_sample,
     set_union_sample,
     warmup_params,
 )
+from repro.core.randomwalk_union import randomwalk_warmup
+from repro.experiments.tables import prewarm
+from repro.workloads import uq1, uq2, uq3
 from deadline import deadline
 from statutil import assert_not_uniform, assert_uniform
 
@@ -151,6 +160,90 @@ def test_unknown_variant(uctx, exact_est):
 def test_unknown_warmup(uctx):
     with pytest.raises(ValueError):
         warmup_params(uctx, "nope")
+
+
+class _BlockPyspark(importlib.abc.MetaPathFinder):
+    """Records and refuses every import of a pyspark module."""
+
+    def __init__(self):
+        self.attempts = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "pyspark":
+            self.attempts.append(name)
+            raise ImportError(f"{name} imported by an operation that must not use Spark")
+        return None
+
+
+@pytest.fixture
+def no_spark(monkeypatch):
+    """pyspark cannot be imported for the rest of the test, and already
+    imported pyspark modules are hidden, so an operation that would start a
+    Spark job fails instead; the test reads ``attempts`` to be sure no
+    ``except ImportError`` swallowed one. Module-level imports are pinned by
+    ``test_layering``, whose subprocess guard also runs these operations in a
+    fresh interpreter."""
+    for name in [m for m in sys.modules if m.split(".")[0] == "pyspark"]:
+        monkeypatch.delitem(sys.modules, name)
+    blocker = _BlockPyspark()
+    monkeypatch.setattr(sys, "meta_path", [blocker, *sys.meta_path])
+    return blocker
+
+
+def test_one_walk_job_per_round(no_spark, uctx, exact_est):
+    """No Spark on the sampling path: walks, membership probes and a fresh
+    membership index run without pyspark, so they start no Spark job."""
+    res = set_union_sample(uctx, 200, warmup=exact_est, sampler="eo", seed=19)
+    assert len(res.samples) == 200
+    assert 1 <= res.rounds
+    randomwalk_warmup(uctx, batch=200, max_samples=600, seed=20)
+    MembershipIndex(uctx.joins)
+    assert no_spark.attempts == []
+
+
+def test_warmups_start_no_job(no_spark, uctx):
+    """Degree statistics come from the relations' frames: a HISTOGRAM-BASED
+    warm-up runs without pyspark on a chain union and on UQ3 (the splitting
+    path), and so does ONLINE-UNION, which runs one on every call."""
+    w3 = uq3(None, sf=0.002, overlap=0.2, seed=4)
+    for u in (uctx, w3.uctx):
+        for method in ("eo", "ew"):
+            auto_histogram_warmup(u, size_method=method)
+    res = online_union_sample(uctx, 100, reuse=True, seed=23)
+    assert len(res.samples) == 100
+    assert no_spark.attempts == []
+
+
+def test_exact_and_cyclic_start_no_job(no_spark, uctx):
+    """FullJoinUnion and cyclic sampling run on the driver without pyspark."""
+    w3 = uq3(None, sf=0.002, overlap=0.2, seed=4)
+    for u in (uctx, w3.uctx):
+        ex = full_join_union(None, u.joins)
+        assert ex.union > 0, u.names
+    g = np.random.default_rng(5)
+    frames = [
+        pd.DataFrame({a: g.integers(1, 5, 20), b: g.integers(1, 5, 20)})
+        for a, b in ["ab", "bc", "ca"]
+    ]
+    r1, r2, r3 = (Relation(f"r{i}", f) for i, f in enumerate(frames))
+    cj = decompose_triangle("tri", r1, r2, ("b", "b"), r3)
+    assert cj.size_bound() > 0
+    assert len(sample_cyclic(cj, 50, seed=6)) == 50
+    assert no_spark.attempts == []
+
+
+@pytest.mark.parametrize("build", [uq1, uq2, uq3])
+def test_workloads_build_without_spark_jobs(no_spark, build):
+    """Relations are pandas frames from generation on: building a workload,
+    reading every relation and building its indexes run without pyspark.
+    So Spark's partitioning cannot reorder a relation, and a seed gives the
+    same samples whatever the machine."""
+    w = build(None, sf=0.002, seed=5)
+    for j in w.joins:
+        for r in j.relations():
+            r.pdf
+    prewarm(w.uctx)
+    assert no_spark.attempts == []
 
 
 @pytest.mark.parametrize("empty_size", [0.0, 50.0])
